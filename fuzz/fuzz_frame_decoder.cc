@@ -9,9 +9,11 @@
 //  2. As a bare payload for each parser directly, so parser coverage does
 //     not depend on the fuzzer discovering CRC-valid frames.
 //
-// Invariants checked (beyond "no crash/UB"): a decoded frame re-encoded
-// with AppendFrame must decode again to the same opcode/flags/request id
-// and payload, and a sticky decoder error must stay sticky.
+// Invariants checked (beyond "no crash/UB"): net::Crc32 of the raw input
+// must equal the bytewise reference CRC (the fuzzer explores lengths and
+// alignments of the fast kernel), a decoded frame re-encoded with
+// AppendFrame must decode again to the same opcode/flags/request id and
+// payload, and a sticky decoder error must stay sticky.
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "src/net/protocol.h"
+#include "tests/crc32_reference.h"
 
 namespace net = prefixfilter::net;
 
@@ -44,6 +47,11 @@ void ExercisePayloadParsers(const uint8_t* payload, size_t len) {
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
+  if (net::Crc32(data, size) !=
+      prefixfilter::testing_ref::Crc32Reference(data, size)) {
+    __builtin_trap();
+  }
+
   // Direct parser pass (no framing required).
   ExercisePayloadParsers(data, size);
 

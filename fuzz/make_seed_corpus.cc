@@ -118,7 +118,7 @@ std::vector<obs::Trace> SampleTraces() {
   slow.frames = 2;
   slow.opcode = static_cast<uint8_t>(net::Opcode::kQueryBatch);
   slow.flags = obs::kTraceSampled | obs::kTraceSlow;
-  slow.spans[0] = {static_cast<uint8_t>(obs::TraceStage::kReadDecode),
+  slow.spans[0] = {static_cast<uint8_t>(obs::TraceStage::kDecode),
                    1'000'000, 1'050'000, 0};
   slow.spans[1] = {static_cast<uint8_t>(obs::TraceStage::kMerge), 1'000'000,
                    1'060'000, 2};
@@ -144,7 +144,7 @@ std::vector<obs::Trace> SampleTraces() {
   sampled.frames = 1;
   sampled.opcode = static_cast<uint8_t>(net::Opcode::kQueryBatch);
   sampled.flags = obs::kTraceSampled;
-  sampled.spans[0] = {static_cast<uint8_t>(obs::TraceStage::kReadDecode),
+  sampled.spans[0] = {static_cast<uint8_t>(obs::TraceStage::kDecode),
                       2'000'000, 2'010'000, 0};
   sampled.spans[1] = {static_cast<uint8_t>(obs::TraceStage::kExec), 2'010'000,
                       2'030'000, 0};

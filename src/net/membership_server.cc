@@ -553,9 +553,10 @@ bool MembershipServer::ServeConnection(Loop& loop, Connection& conn) {
       std::max<size_t>(options_.max_read_buffer,
                        kMaxPayload + kFrameHeaderBytes);
   const uint32_t inflight_cap = std::max(1u, options_.max_inflight_batches);
-  // Trace clock zero for this serve pass: the read+decode span of any batch
-  // admitted below starts here (0 when observability is compiled out).
-  const uint64_t serve_start_ns = obs::NowNanos();
+  // Trace clock for this serve pass: the read span of any batch admitted
+  // below starts here, its decode span where the reads end.
+  ServePass pass;
+  pass.start_ns = obs::NowNanos();
   bool peer_closed = false;
   if (!conn.peer_closed) {
     uint8_t scratch[65536];
@@ -577,6 +578,7 @@ bool MembershipServer::ServeConnection(Loop& loop, Connection& conn) {
       return false;
     }
   }
+  pass.read_end_ns = obs::NowNanos();
 
   // Decode every complete frame buffered so far.  Runs of consecutive
   // QUERY_BATCH frames accumulate into `pending` and execute as ONE merged
@@ -609,10 +611,10 @@ bool MembershipServer::ServeConnection(Loop& loop, Connection& conn) {
     frames_received_.fetch_add(1, std::memory_order_relaxed);
     loop_traffic_[loop.index]->frames.fetch_add(1, std::memory_order_relaxed);
     HandleFrame(loop, conn, frame, &pending_keys, &pending_queries,
-                &pending_trace, serve_start_ns);
+                &pending_trace, pass);
   }
   FlushQueries(loop, conn, &pending_keys, &pending_queries, &pending_trace,
-               serve_start_ns);
+               pass);
   if (peer_closed) conn.peer_closed = true;
   // FlushOutbox owns the whole close-on-EOF rule: it returns false once a
   // half-closed connection drains its outbox AND its in-flight batches, and
@@ -708,10 +710,10 @@ void MembershipServer::HandleFrame(
     std::vector<uint64_t>* pending_keys,
     std::vector<std::pair<uint64_t, uint32_t>>* pending_queries,
     std::shared_ptr<obs::ActiveTrace>* pending_trace,
-    uint64_t serve_start_ns) {
+    const ServePass& pass) {
   if (frame.is_response() || !IsKnownOpcode(frame.opcode)) {
     FlushQueries(loop, conn, pending_keys, pending_queries, pending_trace,
-                 serve_start_ns);
+                 pass);
     EncodeErrorResponse(static_cast<Opcode>(frame.opcode), frame.request_id,
                         ErrorCode::kUnsupported,
                         frame.is_response() ? "unexpected response flag"
@@ -732,7 +734,7 @@ void MembershipServer::HandleFrame(
   if ((frame.flags & kFlagTraced) != 0) {
     if (!DecodeTraceContext(payload, payload_len, &wire_context)) {
       FlushQueries(loop, conn, pending_keys, pending_queries, pending_trace,
-                   serve_start_ns);
+                   pass);
       EncodeErrorResponse(opcode, frame.request_id, ErrorCode::kBadRequest,
                           "malformed trace context", &conn.outbox);
       frames_sent_.fetch_add(1, std::memory_order_relaxed);
@@ -749,7 +751,7 @@ void MembershipServer::HandleFrame(
     const size_t before = pending_keys->size();
     if (!AppendKeyBatchPayload(payload, payload_len, pending_keys)) {
       FlushQueries(loop, conn, pending_keys, pending_queries, pending_trace,
-                   serve_start_ns);
+                   pass);
       EncodeErrorResponse(opcode, frame.request_id, ErrorCode::kBadRequest,
                           "malformed key batch", &conn.outbox);
       frames_sent_.fetch_add(1, std::memory_order_relaxed);
@@ -780,7 +782,7 @@ void MembershipServer::HandleFrame(
           t.conn_id = conn.id;
           t.loop = loop.index;
           t.opcode = frame.opcode;
-          t.start_ns = serve_start_ns;
+          t.start_ns = pass.start_ns;
           if (client_sampled || head_sampled) t.flags |= obs::kTraceSampled;
           *pending_trace = std::move(trace);
         }
@@ -798,8 +800,7 @@ void MembershipServer::HandleFrame(
   // SUBMITS the batch, so this barrier response can reach the wire before
   // the query responses do — clients correlate by request id (see
   // protocol.h).
-  FlushQueries(loop, conn, pending_keys, pending_queries, pending_trace,
-               serve_start_ns);
+  FlushQueries(loop, conn, pending_keys, pending_queries, pending_trace, pass);
   frames_sent_.fetch_add(1, std::memory_order_relaxed);
   switch (opcode) {
     case Opcode::kInsertBatch: {
@@ -873,27 +874,29 @@ void MembershipServer::FlushQueries(
     Loop& loop, Connection& conn, std::vector<uint64_t>* pending_keys,
     std::vector<std::pair<uint64_t, uint32_t>>* pending,
     std::shared_ptr<obs::ActiveTrace>* pending_trace,
-    uint64_t serve_start_ns) {
+    const ServePass& pass) {
   if (pending->empty()) return;
   merge_frames_hist_->Record(pending->size());
   queries_served_.fetch_add(pending_keys->size(), std::memory_order_relaxed);
   loop_traffic_[loop.index]->keys.fetch_add(pending_keys->size(),
                                             std::memory_order_relaxed);
 
-  // The batch is sealed: close the decode (and merge) window.  The merge
-  // span only exists when frames actually coalesced; its detail carries the
-  // frame count.
+  // The batch is sealed: close the read, decode (and merge) windows.  The
+  // merge span only exists when frames actually coalesced; its detail
+  // carries the frame count.
   std::shared_ptr<obs::ActiveTrace> batch_trace = std::move(*pending_trace);
   if (batch_trace != nullptr) {
     obs::Trace& t = batch_trace->t;
     t.key_count = static_cast<uint32_t>(pending_keys->size());
     t.frames = static_cast<uint32_t>(pending->size());
     const uint64_t sealed_ns = obs::NowNanos();
-    batch_trace->AddSpan(obs::TraceStage::kReadDecode, serve_start_ns,
+    batch_trace->AddSpan(obs::TraceStage::kRead, pass.start_ns,
+                         pass.read_end_ns);
+    batch_trace->AddSpan(obs::TraceStage::kDecode, pass.read_end_ns,
                          sealed_ns);
     if (pending->size() > 1) {
-      batch_trace->AddSpan(obs::TraceStage::kMerge, serve_start_ns, sealed_ns,
-                           pending->size());
+      batch_trace->AddSpan(obs::TraceStage::kMerge, pass.read_end_ns,
+                           sealed_ns, pending->size());
     }
   }
 

@@ -271,11 +271,18 @@ class MembershipServer {
   // with the Prometheus rendering of the registry, and closes after the
   // response drains (via the peer_closed/FlushOutbox path).
   bool ServeHttpConnection(Loop& loop, Connection& conn);
+  // Trace clock of one ServeConnection pass: socket reads span
+  // [start_ns, read_end_ns); decoding then runs until each batch is sealed.
+  // Both are 0 when observability is compiled out.
+  struct ServePass {
+    uint64_t start_ns = 0;
+    uint64_t read_end_ns = 0;
+  };
   void HandleFrame(Loop& loop, Connection& conn, Frame& frame,
                    std::vector<uint64_t>* pending_keys,
                    std::vector<std::pair<uint64_t, uint32_t>>* pending_queries,
                    std::shared_ptr<obs::ActiveTrace>* pending_trace,
-                   uint64_t serve_start_ns);
+                   const ServePass& pass);
   // Runs the accumulated pipelined query keys as one merged batch: offloads
   // to the worker pool when configured (responses emitted on completion),
   // else executes inline and emits one response frame per original request.
@@ -284,7 +291,7 @@ class MembershipServer {
                     std::vector<uint64_t>* pending_keys,
                     std::vector<std::pair<uint64_t, uint32_t>>* pending,
                     std::shared_ptr<obs::ActiveTrace>* pending_trace,
-                    uint64_t serve_start_ns);
+                    const ServePass& pass);
   // Stamps end_ns, applies the slow-threshold tail check, and retains the
   // trace in the sink when it is sampled or slow.
   void FinishTrace(obs::ActiveTrace& trace);

@@ -4,25 +4,10 @@
 
 #include "src/obs/exposition.h"
 #include "src/util/serialize.h"
+#include "src/util/simd.h"
 
 namespace prefixfilter::net {
 namespace {
-
-// Reflected CRC-32 table, built once (thread-safe since C++11 magic statics).
-const uint32_t* Crc32Table() {
-  static const auto table = [] {
-    static uint32_t t[256];
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  return table;
-}
 
 void PutU16(uint8_t* p, uint16_t v) { std::memcpy(p, &v, sizeof(v)); }
 void PutU32(uint8_t* p, uint32_t v) { std::memcpy(p, &v, sizeof(v)); }
@@ -57,29 +42,40 @@ bool IsKnownOpcode(uint8_t raw) {
   return false;
 }
 
-uint32_t Crc32(const void* data, size_t len) {
-  const uint32_t* table = Crc32Table();
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < len; ++i) {
-    crc = table[(crc ^ p[i]) & 0xFF] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
+uint32_t Crc32(const void* data, size_t len) { return Crc32Ieee(data, len); }
 
-void AppendFrame(Opcode opcode, uint16_t flags, uint64_t request_id,
-                 const uint8_t* payload, size_t payload_len,
-                 std::vector<uint8_t>* out) {
+namespace {
+
+// Grows *out by one frame with a `payload_len`-byte payload and returns the
+// frame's first byte.  The caller fills the payload (kFrameHeaderBytes on)
+// in place and writes the header with WriteHeader.
+uint8_t* OpenFrame(size_t payload_len, std::vector<uint8_t>* out) {
   const size_t base = out->size();
   out->resize(base + kFrameHeaderBytes + payload_len);
-  uint8_t* h = out->data() + base;
+  return out->data() + base;
+}
+
+// Writes the header of the frame starting at `h`; `crc` is its payload's
+// Crc32.
+void WriteHeader(uint8_t* h, Opcode opcode, uint16_t flags,
+                 uint64_t request_id, size_t payload_len, uint32_t crc) {
   PutU32(h + 0, kFrameMagic);
   h[4] = kProtocolVersion;
   h[5] = static_cast<uint8_t>(opcode);
   PutU16(h + 6, flags);
   PutU64(h + 8, request_id);
   PutU32(h + 16, static_cast<uint32_t>(payload_len));
-  PutU32(h + 20, Crc32(payload, payload_len));
+  PutU32(h + 20, crc);
+}
+
+}  // namespace
+
+void AppendFrame(Opcode opcode, uint16_t flags, uint64_t request_id,
+                 const uint8_t* payload, size_t payload_len,
+                 std::vector<uint8_t>* out) {
+  uint8_t* h = OpenFrame(payload_len, out);
+  WriteHeader(h, opcode, flags, request_id, payload_len,
+              Crc32(payload, payload_len));
   if (payload_len != 0) {
     std::memcpy(h + kFrameHeaderBytes, payload, payload_len);
   }
@@ -88,10 +84,13 @@ void AppendFrame(Opcode opcode, uint16_t flags, uint64_t request_id,
 void EncodeKeyBatchRequest(Opcode opcode, uint64_t request_id,
                            const uint64_t* keys, size_t count,
                            std::vector<uint8_t>* out) {
-  std::vector<uint8_t> payload(4 + 8 * count);
-  PutU32(payload.data(), static_cast<uint32_t>(count));
-  if (count != 0) std::memcpy(payload.data() + 4, keys, 8 * count);
-  AppendFrame(opcode, 0, request_id, payload.data(), payload.size(), out);
+  const size_t payload_len = 4 + 8 * count;
+  uint8_t* h = OpenFrame(payload_len, out);
+  uint8_t* payload = h + kFrameHeaderBytes;
+  PutU32(payload, static_cast<uint32_t>(count));
+  if (count != 0) std::memcpy(payload + 4, keys, 8 * count);
+  WriteHeader(h, opcode, 0, request_id, payload_len,
+              Crc32(payload, payload_len));
 }
 
 void EncodeEmptyRequest(Opcode opcode, uint64_t request_id,
@@ -103,15 +102,17 @@ void EncodeTracedKeyBatchRequest(Opcode opcode, uint64_t request_id,
                                  const TraceContext& context,
                                  const uint64_t* keys, size_t count,
                                  std::vector<uint8_t>* out) {
-  std::vector<uint8_t> payload(kTraceContextBytes + 4 + 8 * count);
-  PutU64(payload.data(), context.trace_id);
+  const size_t payload_len = kTraceContextBytes + 4 + 8 * count;
+  uint8_t* h = OpenFrame(payload_len, out);
+  uint8_t* payload = h + kFrameHeaderBytes;
+  PutU64(payload, context.trace_id);
   payload[8] = context.sampled ? kTraceContextSampled : 0;
-  PutU32(payload.data() + kTraceContextBytes, static_cast<uint32_t>(count));
+  PutU32(payload + kTraceContextBytes, static_cast<uint32_t>(count));
   if (count != 0) {
-    std::memcpy(payload.data() + kTraceContextBytes + 4, keys, 8 * count);
+    std::memcpy(payload + kTraceContextBytes + 4, keys, 8 * count);
   }
-  AppendFrame(opcode, kFlagTraced, request_id, payload.data(), payload.size(),
-              out);
+  WriteHeader(h, opcode, kFlagTraced, request_id, payload_len,
+              Crc32(payload, payload_len));
 }
 
 bool DecodeTraceContext(const uint8_t* payload, size_t len,
@@ -132,11 +133,13 @@ void EncodeInsertResponse(uint64_t request_id, uint64_t failures,
 
 void EncodeQueryResponse(uint64_t request_id, const uint8_t* results,
                          size_t count, std::vector<uint8_t>* out) {
-  std::vector<uint8_t> payload(4 + count);
-  PutU32(payload.data(), static_cast<uint32_t>(count));
-  if (count != 0) std::memcpy(payload.data() + 4, results, count);
-  AppendFrame(Opcode::kQueryBatch, kFlagResponse, request_id, payload.data(),
-              payload.size(), out);
+  const size_t payload_len = 4 + count;
+  uint8_t* h = OpenFrame(payload_len, out);
+  uint8_t* payload = h + kFrameHeaderBytes;
+  PutU32(payload, static_cast<uint32_t>(count));
+  if (count != 0) std::memcpy(payload + 4, results, count);
+  WriteHeader(h, Opcode::kQueryBatch, kFlagResponse, request_id, payload_len,
+              Crc32(payload, payload_len));
 }
 
 void EncodeSnapshotResponse(uint64_t request_id,

@@ -64,11 +64,11 @@
 // header, so a future v2 can extend payloads freely behind a version bump.
 //
 // Robustness: FrameDecoder is incremental (feed arbitrary byte slices) and
-// malformed-input-safe — bad magic/version/length poison the stream with a
-// typed error (a byte stream cannot be resynchronized once framing is lost,
-// so the connection must be dropped), a checksum mismatch rejects the frame,
-// and payload parsers bound every count against the actual byte length
-// before allocating.
+// malformed-input-safe — bad magic/version/length/checksum poison the stream
+// with a sticky typed error (a byte stream cannot be resynchronized once
+// framing is lost, and a corrupted payload means the bytes cannot be
+// trusted, so the connection must be dropped), and payload parsers bound
+// every count against the actual byte length before allocating.
 #ifndef PREFIXFILTER_SRC_NET_PROTOCOL_H_
 #define PREFIXFILTER_SRC_NET_PROTOCOL_H_
 
@@ -115,7 +115,10 @@ enum class ErrorCode : uint32_t {
   kInternal = 3,     // server-side failure (e.g. snapshot serialization)
 };
 
-// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) over `len` bytes.
+// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) over `len` bytes.  The
+// kernel is chosen at compile time (src/util/simd.h: PCLMULQDQ folding when
+// the build targets it, slicing-by-8 otherwise); every kernel computes the
+// same value, so the choice never changes the wire bytes.
 uint32_t Crc32(const void* data, size_t len);
 
 struct Frame {

@@ -4,7 +4,7 @@ namespace prefixfilter::obs {
 
 const char* TraceStageName(TraceStage stage) {
   switch (stage) {
-    case TraceStage::kReadDecode:
+    case TraceStage::kDecode:
       return "decode";
     case TraceStage::kMerge:
       return "merge";
@@ -18,6 +18,8 @@ const char* TraceStageName(TraceStage stage) {
       return "completion";
     case TraceStage::kWrite:
       return "write";
+    case TraceStage::kRead:
+      return "read";
   }
   return "unknown";
 }

@@ -4,10 +4,10 @@
 // A Trace is a fixed-size, trivially-copyable record of one request's walk
 // through the pipeline: identity (trace id, request id, opcode, connection,
 // event loop), wall-clock bounds, and up to kMaxTraceSpans stage spans
-// (decode, merge, queue wait, worker exec, per-shard probe, completion
-// transit, response write).  Fixed size is deliberate — traces move through
-// the lock-free seqlock rings of trace_sink.h as raw words, so they must
-// carry no heap state.
+// (socket read, decode, merge, queue wait, worker exec, per-shard probe,
+// completion transit, response write).  Fixed size is deliberate — traces
+// move through the lock-free seqlock rings of trace_sink.h as raw words, so
+// they must carry no heap state.
 //
 // The types here are always defined, even under -DPF_OBS=OFF: the wire
 // codec in src/net/protocol.cc (TRACES opcode) must compile in every
@@ -30,16 +30,17 @@ namespace prefixfilter::obs {
 // Pipeline stages a span can label.  Wire-stable: values are serialized by
 // the TRACES codec, so only append.
 enum class TraceStage : uint8_t {
-  kReadDecode = 0,  // socket read + frame decode on the event loop
+  kDecode = 0,      // frame decode (checksum + parse) up to the batch seal
   kMerge = 1,       // pipelined QUERY frames coalescing into one batch
   kQueueWait = 2,   // service queue wait (enqueue -> worker pickup)
   kExec = 3,        // worker filter execution
   kShardProbe = 4,  // one shard group's probe under its shard lock
   kCompletion = 5,  // completion-queue transit (worker done -> loop drain)
   kWrite = 6,       // response encode + socket write on the event loop
+  kRead = 7,        // socket reads (recv + decoder feed) on the event loop
 };
 
-inline constexpr uint32_t kNumTraceStages = 7;
+inline constexpr uint32_t kNumTraceStages = 8;
 
 // Stable lower-case name for JSON/CLI output ("decode", "queue_wait", ...).
 const char* TraceStageName(TraceStage stage);

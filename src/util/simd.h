@@ -6,10 +6,11 @@
 // paper), then reason about v_r instead of running Select over the header.
 // This header provides those byte-match kernels for 32-byte and 64-byte
 // blocks with AVX-512BW, AVX2, and portable fallbacks, plus the 8-lane
-// blocked-Bloom mask kernel.
+// blocked-Bloom mask kernel and the wire codec's CRC-32.
 #ifndef PREFIXFILTER_SRC_UTIL_SIMD_H_
 #define PREFIXFILTER_SRC_UTIL_SIMD_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 
@@ -23,8 +24,13 @@
 #else
 #define PF_HAVE_AVX2 0
 #endif
+#if defined(__PCLMUL__) && defined(__SSE4_1__)
+#define PF_HAVE_PCLMUL 1
+#else
+#define PF_HAVE_PCLMUL 0
+#endif
 
-#if PF_HAVE_AVX2 || PF_HAVE_AVX512
+#if PF_HAVE_AVX2 || PF_HAVE_AVX512 || PF_HAVE_PCLMUL
 #include <immintrin.h>
 #endif
 
@@ -321,6 +327,147 @@ inline bool Fmb64Contains(uint32_t h, const uint64_t* block) {
 #else
   return Fmb64ContainsPortable(h, block);
 #endif
+}
+
+// ---------------------------------------------------------------------------
+// CRC-32 (IEEE 802.3: reflected, poly 0xEDB88320, init and final xor
+// 0xFFFFFFFF) for the wire codec's frame checksum.  Both kernels produce the
+// same value as the textbook bytewise table loop, so the wire format does
+// not depend on which one a build compiles in.
+//   * Portable: slicing-by-8 (eight 256-entry tables, one 8-byte load and
+//     eight lookups per step).
+//   * PCLMULQDQ: carry-less-multiply folding of four 128-bit lanes, folded
+//     to one 128-bit lane and Barrett-reduced to 32 bits (Gopal et al.,
+//     "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ
+//     Instruction", Intel, 2009).  Used for the 16-byte-multiple prefix of
+//     inputs of at least 64 bytes; slicing-by-8 finishes the tail.
+// Both operate on the raw register (pre-inverted); Crc32Ieee/
+// Crc32IeeePortable apply the IEEE conditioning.
+// ---------------------------------------------------------------------------
+
+namespace crc_internal {
+struct Crc32Tables {
+  uint32_t t[8][256];
+};
+
+// t[0] is the bytewise table; t[k][b] advances t[k-1][b] by one zero byte,
+// so t[k] is the contribution of a byte k positions before the word's end.
+constexpr Crc32Tables MakeCrc32Tables() {
+  Crc32Tables tables{};
+  for (uint32_t b = 0; b < 256; ++b) {
+    uint32_t c = b;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    tables.t[0][b] = c;
+  }
+  for (int k = 1; k < 8; ++k) {
+    for (uint32_t b = 0; b < 256; ++b) {
+      const uint32_t prev = tables.t[k - 1][b];
+      tables.t[k][b] = (prev >> 8) ^ tables.t[0][prev & 0xFF];
+    }
+  }
+  return tables;
+}
+
+inline constexpr Crc32Tables kCrc32Tables = MakeCrc32Tables();
+}  // namespace crc_internal
+
+// Slicing-by-8 update of the raw CRC register over `len` bytes.  Words are
+// read little-endian (the byte order every wire format here assumes).
+inline uint32_t Crc32UpdatePortable(uint32_t crc, const void* data,
+                                    size_t len) {
+  const auto& t = crc_internal::kCrc32Tables.t;
+  const uint8_t* p = static_cast<const uint8_t*>(data);
+  for (; len >= 8; p += 8, len -= 8) {
+    uint64_t word = 0;
+    std::memcpy(&word, p, sizeof(word));
+    word ^= crc;
+    crc = t[7][word & 0xFF] ^ t[6][(word >> 8) & 0xFF] ^
+          t[5][(word >> 16) & 0xFF] ^ t[4][(word >> 24) & 0xFF] ^
+          t[3][(word >> 32) & 0xFF] ^ t[2][(word >> 40) & 0xFF] ^
+          t[1][(word >> 48) & 0xFF] ^ t[0][word >> 56];
+  }
+  for (; len != 0; ++p, --len) crc = t[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
+  return crc;
+}
+
+#if PF_HAVE_PCLMUL
+namespace crc_internal {
+inline __m128i Load128(const uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+// One fold step: carries the 128-bit lane `x` forward by the distance the
+// constant pair `k` encodes (512 bits for k1k2, 128 for k3k4) and adds
+// `next`, the lane's data at that distance.
+inline __m128i Fold(__m128i x, __m128i k, __m128i next) {
+  const __m128i lo = _mm_clmulepi64_si128(x, k, 0x00);
+  const __m128i hi = _mm_clmulepi64_si128(x, k, 0x11);
+  return _mm_xor_si128(_mm_xor_si128(hi, lo), next);
+}
+}  // namespace crc_internal
+
+// Folding update of the raw CRC register.  Requires len >= 64 and
+// len % 16 == 0.
+inline uint32_t Crc32UpdateFolded(uint32_t crc, const uint8_t* p, size_t len) {
+  using crc_internal::Fold;
+  using crc_internal::Load128;
+  // Bit-reflected constants x^n mod P for P = 0x104C11DB7 (the Intel
+  // paper's k1..k5), then P and the Barrett quotient mu = x^64 / P.
+  const __m128i k1k2 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
+  const __m128i k3k4 = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0);
+  const __m128i k5 = _mm_set_epi64x(0, 0x0163cd6124);
+  const __m128i poly = _mm_set_epi64x(0x01f7011641, 0x01db710641);
+  const __m128i low32 = _mm_setr_epi32(~0, 0, ~0, 0);
+
+  __m128i x1 = _mm_xor_si128(Load128(p),
+                             _mm_cvtsi32_si128(static_cast<int>(crc)));
+  __m128i x2 = Load128(p + 16);
+  __m128i x3 = Load128(p + 32);
+  __m128i x4 = Load128(p + 48);
+  p += 64;
+  len -= 64;
+  for (; len >= 64; p += 64, len -= 64) {
+    x1 = Fold(x1, k1k2, Load128(p));
+    x2 = Fold(x2, k1k2, Load128(p + 16));
+    x3 = Fold(x3, k1k2, Load128(p + 32));
+    x4 = Fold(x4, k1k2, Load128(p + 48));
+  }
+  // Four lanes into one, then any remaining 16-byte blocks.
+  x1 = Fold(x1, k3k4, x2);
+  x1 = Fold(x1, k3k4, x3);
+  x1 = Fold(x1, k3k4, x4);
+  for (; len >= 16; p += 16, len -= 16) x1 = Fold(x1, k3k4, Load128(p));
+
+  // 128 -> 64 bits.
+  __m128i x = _mm_xor_si128(_mm_srli_si128(x1, 8),
+                            _mm_clmulepi64_si128(x1, k3k4, 0x10));
+  x = _mm_xor_si128(_mm_srli_si128(x, 4),
+                    _mm_clmulepi64_si128(_mm_and_si128(x, low32), k5, 0x00));
+  // Barrett reduction to 32 bits.
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x, low32), poly, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), poly, 0x00);
+  return static_cast<uint32_t>(_mm_extract_epi32(_mm_xor_si128(x, t), 1));
+}
+#endif
+
+// CRC-32 of `len` bytes through the portable kernel only (the reference
+// twin of Crc32Ieee, compiled on every build).
+inline uint32_t Crc32IeeePortable(const void* data, size_t len) {
+  return ~Crc32UpdatePortable(0xFFFFFFFFu, data, len);
+}
+
+// CRC-32 of `len` bytes through the fastest kernel this build compiles in.
+inline uint32_t Crc32Ieee(const void* data, size_t len) {
+  uint32_t crc = 0xFFFFFFFFu;
+#if PF_HAVE_PCLMUL
+  if (len >= 64) {
+    const size_t folded = len & ~size_t{15};
+    crc = Crc32UpdateFolded(crc, static_cast<const uint8_t*>(data), folded);
+    data = static_cast<const uint8_t*>(data) + folded;
+    len -= folded;
+  }
+#endif
+  return ~Crc32UpdatePortable(crc, data, len);
 }
 
 }  // namespace prefixfilter

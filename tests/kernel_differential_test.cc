@@ -5,7 +5,9 @@
 // generalized over the factory: every parity property runs for FMB32, FMB64,
 // BBF, and BBF-Flex through one type-erased test wrapper, and the PD256/512
 // SIMD path (the FindByteMask broadcast-compare kernel) is differenced
-// against its scalar reference directly.
+// against its scalar reference directly.  The wire codec's CRC-32 kernels
+// (PCLMULQDQ folding, slicing-by-8) are differenced against an independent
+// bytewise reference and pinned to golden values the same way.
 //
 // On portable builds the dispatched kernels ARE the portable kernels, so
 // the SIMD-vs-portable legs degenerate to self-consistency — while the
@@ -27,9 +29,11 @@
 #include "src/core/filter_factory.h"
 #include "src/filters/blocked_bloom.h"
 #include "src/filters/fast_multiblock.h"
+#include "src/net/protocol.h"
 #include "src/util/aligned.h"
 #include "src/util/random.h"
 #include "src/util/simd.h"
+#include "tests/crc32_reference.h"
 
 namespace prefixfilter {
 namespace {
@@ -376,6 +380,84 @@ TEST(KernelGoldenDigest, SerializedBytesAndAnswerStreamMatchGolden) {
         << golden.name << ": actual digest 0x" << std::hex << digest
         << " — serialized bytes or answer stream changed across builds";
   }
+}
+
+// --- wire CRC-32: kernel parity and golden values ---------------------------
+
+using testing_ref::Crc32Reference;
+
+std::vector<uint8_t> RandomBytes(size_t len, uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<uint8_t> bytes(len);
+  for (auto& b : bytes) b = static_cast<uint8_t>(rng.Next());
+  return bytes;
+}
+
+// Every length through the fold threshold and well past it, at every
+// alignment of a 16-byte vector load: the dispatched kernel (net::Crc32) and
+// the portable kernel must both equal the reference.
+TEST(Crc32Parity, EveryLengthAndAlignmentMatchesReference) {
+  constexpr size_t kMaxLen = 1024;
+  const std::vector<uint8_t> bytes = RandomBytes(kMaxLen + 16, 0xc3c32);
+  for (size_t align = 0; align < 16; ++align) {
+    const uint8_t* p = bytes.data() + align;
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      const uint32_t expected = Crc32Reference(p, len);
+      ASSERT_EQ(net::Crc32(p, len), expected)
+          << "len=" << len << " align=" << align;
+      ASSERT_EQ(Crc32IeeePortable(p, len), expected)
+          << "len=" << len << " align=" << align;
+    }
+  }
+}
+
+TEST(Crc32Parity, RandomLongBuffersMatchReference) {
+  constexpr size_t kMaxLen = size_t{1} << 20;
+  const std::vector<uint8_t> bytes = RandomBytes(kMaxLen + 16, 0x10ad);
+  Xoshiro256 rng(0x1e57);
+  for (int round = 0; round < 24; ++round) {
+    const size_t len = rng.Below(kMaxLen + 1);
+    const uint8_t* p = bytes.data() + rng.Below(16);
+    const uint32_t expected = Crc32Reference(p, len);
+    ASSERT_EQ(net::Crc32(p, len), expected) << "len=" << len;
+    ASSERT_EQ(Crc32IeeePortable(p, len), expected) << "len=" << len;
+  }
+}
+
+// Golden values (zlib's crc32 agrees) pin the checksum across builds, so a
+// native and a portable peer always agree on the wire.
+TEST(Crc32Golden, FixedInputsMatchGolden) {
+  EXPECT_EQ(net::Crc32("123456789", 9), 0xCBF43926u);
+  std::vector<uint8_t> bytes(128);
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<uint8_t>(i * 131 + 7);
+  }
+  const std::pair<size_t, uint32_t> kGolden[] = {
+      {15, 0xA4762116u},  {16, 0xEA7E5B68u},  {63, 0x337301C0u},
+      {64, 0x38E4DBB5u},  {65, 0x6C311B46u},  {127, 0x8276C596u},
+      {128, 0xCC816B20u},
+  };
+  for (const auto& [len, golden] : kGolden) {
+    EXPECT_EQ(net::Crc32(bytes.data(), len), golden) << "len=" << len;
+    EXPECT_EQ(Crc32IeeePortable(bytes.data(), len), golden) << "len=" << len;
+  }
+}
+
+// A full-size QUERY_BATCH frame: its header carries the golden checksum of
+// its payload (the encoder writes the same bytes and the same CRC as ever).
+TEST(Crc32Golden, QueryBatchFrameMatchesGolden) {
+  const std::vector<uint64_t> keys = RandomKeys(4096, 0x5eedf00dull);
+  std::vector<uint8_t> frame;
+  net::EncodeKeyBatchRequest(net::Opcode::kQueryBatch, 7, keys.data(),
+                             keys.size(), &frame);
+  ASSERT_EQ(frame.size(), net::kFrameHeaderBytes + 4 + 8 * keys.size());
+  const uint8_t* payload = frame.data() + net::kFrameHeaderBytes;
+  const size_t payload_len = frame.size() - net::kFrameHeaderBytes;
+  uint32_t wire_crc = 0;
+  std::memcpy(&wire_crc, frame.data() + 20, sizeof(wire_crc));
+  EXPECT_EQ(wire_crc, 0x28B3DC4Bu);
+  EXPECT_EQ(net::Crc32(payload, payload_len), 0x28B3DC4Bu);
+  EXPECT_EQ(Crc32Reference(payload, payload_len), 0x28B3DC4Bu);
 }
 
 }  // namespace

@@ -884,12 +884,17 @@ TEST(MembershipServer, StopDrainsInflightOffloadedWorkAndLeaksNoFds) {
 
 // --- request tracing ---------------------------------------------------------
 
+// The first span `t` carries for `stage`, or nullptr.
+const obs::TraceSpan* FindSpan(const obs::Trace& t, obs::TraceStage stage) {
+  for (uint32_t i = 0; i < t.span_count && i < obs::kMaxTraceSpans; ++i) {
+    if (t.spans[i].stage == static_cast<uint8_t>(stage)) return &t.spans[i];
+  }
+  return nullptr;
+}
+
 // True when `t` carries a span for `stage`.
 bool HasStage(const obs::Trace& t, obs::TraceStage stage) {
-  for (uint32_t i = 0; i < t.span_count && i < obs::kMaxTraceSpans; ++i) {
-    if (t.spans[i].stage == static_cast<uint8_t>(stage)) return true;
-  }
-  return false;
+  return FindSpan(t, stage) != nullptr;
 }
 
 TEST(MembershipServer, TracedRequestsCaptureFullPipelineTimelines) {
@@ -919,9 +924,10 @@ TEST(MembershipServer, TracedRequestsCaptureFullPipelineTimelines) {
   }
   ASSERT_FALSE(traces.empty());
 
-  // An offloaded query's timeline covers the whole pipeline: decode, queue
-  // wait, worker exec with per-shard probes inside, completion transit back
-  // to the loop, and the response write.
+  // An offloaded query's timeline covers the whole pipeline: socket read,
+  // decode, queue wait, worker exec with per-shard probes inside, completion
+  // transit back to the loop, and the response write.  Read ends where
+  // decode begins.
   bool full_timeline = false;
   for (const obs::Trace& t : traces) {
     for (uint32_t i = 0; i < t.span_count && i < obs::kMaxTraceSpans; ++i) {
@@ -929,7 +935,8 @@ TEST(MembershipServer, TracedRequestsCaptureFullPipelineTimelines) {
       EXPECT_GE(t.spans[i].end_ns, t.spans[i].start_ns);
     }
     if (t.opcode != static_cast<uint8_t>(Opcode::kQueryBatch)) continue;
-    if (HasStage(t, obs::TraceStage::kReadDecode) &&
+    if (HasStage(t, obs::TraceStage::kRead) &&
+        HasStage(t, obs::TraceStage::kDecode) &&
         HasStage(t, obs::TraceStage::kQueueWait) &&
         HasStage(t, obs::TraceStage::kExec) &&
         HasStage(t, obs::TraceStage::kShardProbe) &&
@@ -938,11 +945,14 @@ TEST(MembershipServer, TracedRequestsCaptureFullPipelineTimelines) {
       EXPECT_TRUE(t.sampled());
       EXPECT_GT(t.key_count, 0u);
       EXPECT_GE(t.end_ns, t.start_ns);
+      EXPECT_LE(FindSpan(t, obs::TraceStage::kRead)->end_ns,
+                FindSpan(t, obs::TraceStage::kDecode)->start_ns);
       full_timeline = true;
     }
   }
-  EXPECT_TRUE(full_timeline) << "no query trace covered decode + queue_wait + "
-                                "exec + shard_probe + completion + write";
+  EXPECT_TRUE(full_timeline) << "no query trace covered read + decode + "
+                                "queue_wait + exec + shard_probe + "
+                                "completion + write";
 }
 
 TEST(MembershipServer, SlowRequestsAreTailCapturedWithoutHeadSampling) {

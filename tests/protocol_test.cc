@@ -402,7 +402,7 @@ TEST(Protocol, TracesPayloadRoundTripsAndRejectsTruncations) {
     t.flags = obs::kTraceSampled | (i == 0 ? obs::kTraceSlow : 0);
     // Spans written directly (not via AddSpan, which no-ops under
     // PF_OBS=OFF — the codec itself must round-trip in every build).
-    t.spans[0] = {static_cast<uint8_t>(obs::TraceStage::kReadDecode),
+    t.spans[0] = {static_cast<uint8_t>(obs::TraceStage::kDecode),
                   1'000'000, 1'100'000, 0};
     t.spans[1] = {static_cast<uint8_t>(obs::TraceStage::kShardProbe),
                   1'100'000, 1'200'000, (uint64_t{5} << 32) | 256u};
