@@ -26,7 +26,7 @@
 //   bench_net_loadgen [--quick] [--n-log2=L] [--seed=S] [--json=PATH]
 //                     [--connect=host:port] [--filter=NAME] [--threads=T]
 //                     [--connections=C] [--batch=B] [--depth=D]
-//                     [--front-cache=SLOTS] [--workloads=a,b,...]
+//                     [--workloads=a,b,...]
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -56,7 +56,6 @@ struct LoadgenConfig {
   std::string connect;  // empty = self-host
   std::string filter = "SHARD16[PF[TC]]";
   uint32_t service_threads = 0;  // self-host: 0 = serve on the event loop
-  size_t front_cache_slots = 0;
   int connections = 4;
   size_t batch = 4096;
   size_t depth = 4;
@@ -72,9 +71,9 @@ struct LoadgenConfig {
   // fuzz/make_seed_corpus.cc.
   std::string record_frames_dir;
   // --trace-sample=RATE: every query client samples that fraction of its
-  // QUERY_BATCH frames with a wire trace context (after negotiating the
-  // capability), and a self-hosted run appends a trace-overhead A/B row
-  // comparing untraced vs sampled throughput.
+  // QUERY_BATCH frames with a wire trace context, and a self-hosted run
+  // appends a trace-overhead A/B row comparing untraced vs sampled
+  // throughput.
   double trace_sample = 0.0;
 };
 
@@ -150,9 +149,6 @@ int main(int argc, char** argv) {
             std::max(1, std::atoi(part.c_str()))));
       }
       if (config.server_threads.empty()) config.server_threads = {1};
-    } else if (arg.rfind("--front-cache=", 0) == 0) {
-      config.front_cache_slots =
-          static_cast<size_t>(std::atoll(arg.c_str() + 14));
     } else if (arg.rfind("--connections=", 0) == 0) {
       config.connections = std::max(1, std::atoi(arg.c_str() + 14));
     } else if (arg.rfind("--batch=", 0) == 0) {
@@ -171,8 +167,8 @@ int main(int argc, char** argv) {
           "         [--json=PATH] [--connect=host:port] [--filter=NAME]\n"
           "         [--threads=T] [--server-threads=N[,N...]]\n"
           "         [--connections=C] [--batch=B] [--depth=D]\n"
-          "         [--front-cache=SLOTS] [--workloads=a,b,...]\n"
-          "         [--record-frames=DIR] [--trace-sample=RATE]\n"
+          "         [--workloads=a,b,...] [--record-frames=DIR]\n"
+          "         [--trace-sample=RATE]\n"
           "Self-hosts an in-process loopback server unless --connect is\n"
           "given.  --server-threads sets the server's event-loop count\n"
           "(SO_REUSEPORT loop-per-core); a CSV list additionally runs a\n"
@@ -241,7 +237,6 @@ int main(int argc, char** argv) {
   if (config.connect.empty()) {
     prefixfilter::FilterServiceOptions service_options;
     service_options.num_threads = config.service_threads;
-    service_options.front_cache_slots = config.front_cache_slots;
     service = prefixfilter::MakeFilterService(config.filter, n,
                                               service_options, options.seed);
     if (service == nullptr) {
@@ -258,9 +253,9 @@ int main(int argc, char** argv) {
       return 1;
     }
     client_options.port = server->port();
-    std::printf("net_loadgen: self-hosted %s on 127.0.0.1:%u (%s, %u loop%s%s)\n",
+    std::printf("net_loadgen: self-hosted %s on 127.0.0.1:%u (%u loop%s%s)\n",
                 config.filter.c_str(), client_options.port,
-                server->poller_name(), server->num_loops(),
+                server->num_loops(),
                 server->num_loops() == 1 ? "" : "s",
                 server->reuseport_active() ? ", reuseport" : "");
   } else {
@@ -409,39 +404,33 @@ int main(int argc, char** argv) {
   for (const auto& s : before.shards) shard_queries_before += s.queries;
   for (const auto& s : after.shards) shard_queries_after += s.queries;
   const uint64_t shard_delta = shard_queries_after - shard_queries_before;
-  // Front-cache hits legitimately bypass the shards; everything else must
-  // have gone through them.
-  const uint64_t cache_delta =
-      after.front_cache_hits - before.front_cache_hits;
-  if (shard_delta + cache_delta < total_queried) {
+  if (shard_delta < total_queried) {
     std::fprintf(stderr,
-                 "net_loadgen: shard counters grew by %" PRIu64
-                 " (+%" PRIu64 " cached) for %" PRIu64
+                 "net_loadgen: shard counters grew by %" PRIu64 " for %" PRIu64
                  " queried keys — traffic bypassed the BatchRouter path\n",
-                 shard_delta, cache_delta, total_queried);
+                 shard_delta, total_queried);
     failed = true;
   }
   std::printf("net_loadgen: %" PRIu64 " keys over %zu shards "
-              "(%" PRIu64 " shard queries, %" PRIu64 " front-cache hits, "
-              "%" PRIu64 " query batches served)\n",
-              total_queried, after.shards.size(), shard_delta, cache_delta,
+              "(%" PRIu64 " shard queries, %" PRIu64
+              " query batches served)\n",
+              total_queried, after.shards.size(), shard_delta,
               after.query_batches - before.query_batches);
 
-  // --- server-side telemetry (STATS v2 scrape) ------------------------------
-  // One extra scrape pulls the server's whole metrics registry over the wire:
-  // the per-opcode latency histograms and queue-wait percentiles measured ON
-  // the server, the other side of the client-observed ns/op above.  Emitted
-  // as an extra prefixfilter-bench-v1 row so perf history tracks server-side
-  // latency too.  Skipped silently against pre-v2 or PF_OBS=OFF servers.
-  net::WireStats scrape;
-  if (control.StatsV2(&scrape) && !scrape.metrics.empty()) {
+  // --- server-side telemetry ------------------------------------------------
+  // The final STATS carries the server's whole metrics registry: the
+  // per-opcode latency histograms and queue-wait percentiles measured ON the
+  // server, the other side of the client-observed ns/op above.  Emitted as
+  // an extra prefixfilter-bench-v1 row so perf history tracks server-side
+  // latency too.  Skipped silently against PF_OBS=OFF servers.
+  if (!after.metrics.empty()) {
     prefixfilter::json::Value metrics = prefixfilter::json::Value::MakeObject();
-    const auto hist_row = [&metrics, &scrape](const char* metric_name,
-                                              const char* label_key,
-                                              const char* label_value,
-                                              const char* out_prefix) {
+    const auto hist_row = [&metrics, &after](const char* metric_name,
+                                             const char* label_key,
+                                             const char* label_value,
+                                             const char* out_prefix) {
       const prefixfilter::obs::MetricSample* s = prefixfilter::obs::FindSample(
-          scrape.metrics, metric_name, label_key, label_value);
+          after.metrics, metric_name, label_key, label_value);
       if (s == nullptr || s->hist.count == 0) return;
       const std::string p(out_prefix);
       metrics.Set(p + "_count", s->hist.count);
@@ -454,23 +443,16 @@ int main(int argc, char** argv) {
     hist_row("net.server.request.ns", "op", "insert", "server_insert");
     hist_row("service.queue.wait.ns", "", "", "server_queue_wait");
     hist_row("net.server.merge.frames", "", "", "server_merge_frames");
-    const uint64_t cache_looks =
-        scrape.front_cache_hits + scrape.front_cache_misses;
-    if (cache_looks != 0) {
-      metrics.Set("front_cache_hit_rate",
-                  static_cast<double>(scrape.front_cache_hits) /
-                      static_cast<double>(cache_looks));
-    }
     const prefixfilter::obs::MetricSample* bytes_in = prefixfilter::obs::
-        FindSample(scrape.metrics, "net.server.bytes.in");
+        FindSample(after.metrics, "net.server.bytes.in");
     const prefixfilter::obs::MetricSample* bytes_out = prefixfilter::obs::
-        FindSample(scrape.metrics, "net.server.bytes.out");
+        FindSample(after.metrics, "net.server.bytes.out");
     if (bytes_in != nullptr) metrics.Set("server_bytes_in", bytes_in->value);
     if (bytes_out != nullptr) {
       metrics.Set("server_bytes_out", bytes_out->value);
     }
     const prefixfilter::obs::MetricSample* query_hist =
-        prefixfilter::obs::FindSample(scrape.metrics, "net.server.request.ns",
+        prefixfilter::obs::FindSample(after.metrics, "net.server.request.ns",
                                       "op", "query");
     if (query_hist != nullptr && query_hist->hist.count != 0) {
       std::printf("net_loadgen: server-side query batches: p50 %.0f ns  "
@@ -478,7 +460,7 @@ int main(int argc, char** argv) {
                   "scraped)\n",
                   query_hist->hist.Percentile(0.50),
                   query_hist->hist.Percentile(0.99), query_hist->hist.count,
-                  scrape.metrics.size());
+                  after.metrics.size());
     }
     runner.Add(before.filter_name, "server-metrics", std::move(metrics));
   }
@@ -486,8 +468,8 @@ int main(int argc, char** argv) {
   // --- tracing overhead A/B (--trace-sample, self-host only) ----------------
   // Two passes over the first workload against the already-loaded server:
   // untraced clients, then clients sampling at the configured rate.  The
-  // delta is the whole cost of tracing at that rate — context encoding,
-  // negotiation, server-side span capture — emitted as one trace-overhead
+  // delta is the whole cost of tracing at that rate — context encoding and
+  // server-side span capture — emitted as one trace-overhead
   // row (informational, not gated: loopback A/Bs are noisy).
   if (config.connect.empty() && config.trace_sample > 0) {
     const workload::Stream& stream = streams.front();
@@ -557,7 +539,6 @@ int main(int argc, char** argv) {
     for (const uint32_t loops : config.server_threads) {
       prefixfilter::FilterServiceOptions sweep_service_options;
       sweep_service_options.num_threads = config.service_threads;
-      sweep_service_options.front_cache_slots = config.front_cache_slots;
       auto sweep_service = prefixfilter::MakeFilterService(
           config.filter, n, sweep_service_options, options.seed);
       net::ServerOptions sweep_server_options;

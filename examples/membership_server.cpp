@@ -9,8 +9,8 @@
 //     restored service answers identically, and exits.
 //
 //   build/example_membership_server --serve [--port=P] [--filter=NAME]
-//       [--capacity=N] [--threads=T] [--loops=N] [--front-cache=SLOTS]
-//       [--poll] [--http-port=P] [--trace-sample=RATE] [--trace-slow-ms=MS]
+//       [--capacity=N] [--threads=T] [--loops=N] [--http-port=P]
+//       [--trace-sample=RATE] [--trace-slow-ms=MS]
 //     Long-running server for external clients (bench_net_loadgen, the CI
 //     loopback smoke leg).  Prints "listening on 127.0.0.1:<port>" once
 //     ready and serves until SIGINT/SIGTERM.  --http-port additionally
@@ -47,11 +47,9 @@ namespace net = prefixfilter::net;
 
 std::shared_ptr<FilterService> MakeService(const std::string& filter_name,
                                            uint64_t capacity,
-                                           uint32_t service_threads,
-                                           size_t front_cache_slots) {
+                                           uint32_t service_threads) {
   FilterServiceOptions options;
   options.num_threads = service_threads;
-  options.front_cache_slots = front_cache_slots;
   // Shared name-to-service bootstrap (src/service/filter_service.h).
   return prefixfilter::MakeFilterService(filter_name, capacity, options);
 }
@@ -60,18 +58,15 @@ volatile std::sig_atomic_t g_stop = 0;
 void OnSignal(int) { g_stop = 1; }
 
 int Serve(const std::string& filter_name, uint64_t capacity, uint16_t port,
-          uint32_t service_threads, size_t front_cache_slots, bool use_epoll,
-          uint32_t loops, bool enable_http, uint16_t http_port,
-          double trace_sample, double trace_slow_ms) {
-  auto service =
-      MakeService(filter_name, capacity, service_threads, front_cache_slots);
+          uint32_t service_threads, uint32_t loops, bool enable_http,
+          uint16_t http_port, double trace_sample, double trace_slow_ms) {
+  auto service = MakeService(filter_name, capacity, service_threads);
   if (service == nullptr) {
     std::fprintf(stderr, "unknown filter: %s\n", filter_name.c_str());
     return 2;
   }
   net::ServerOptions options;
   options.port = port;
-  options.use_epoll = use_epoll;
   options.num_loops = loops;
   options.enable_http = enable_http;
   options.http_port = http_port;
@@ -84,9 +79,9 @@ int Serve(const std::string& filter_name, uint64_t capacity, uint16_t port,
     return 1;
   }
   std::printf("membership_server: %s (capacity %" PRIu64
-              ", %u shards, %s, %u loop%s%s) listening on 127.0.0.1:%u\n",
+              ", %u shards, %u loop%s%s) listening on 127.0.0.1:%u\n",
               filter_name.c_str(), capacity, service->filter().num_shards(),
-              server.poller_name(), server.num_loops(),
+              server.num_loops(),
               server.num_loops() == 1 ? "" : "s",
               server.reuseport_active() ? ", reuseport" : "",
               server.port());
@@ -126,15 +121,14 @@ int Demo() {
   // A service sized for 4M users, partitioned over 16 prefix-filter shards,
   // fronted by a real TCP server on an ephemeral loopback port.
   const uint64_t capacity = 4'000'000;
-  auto service = MakeService("SHARD16[PF[TC]]", capacity,
-                             /*service_threads=*/0, /*front_cache_slots=*/0);
+  auto service =
+      MakeService("SHARD16[PF[TC]]", capacity, /*service_threads=*/0);
   net::MembershipServer server(service);
   if (!server.Start()) {
     std::fprintf(stderr, "server start failed: %s\n", server.error().c_str());
     return 1;
   }
-  std::printf("server: %s on 127.0.0.1:%u\n", server.poller_name(),
-              server.port());
+  std::printf("server: 127.0.0.1:%u\n", server.port());
 
   net::ClientOptions client_options;
   client_options.port = server.port();
@@ -228,13 +222,11 @@ int Demo() {
 
 int main(int argc, char** argv) {
   bool serve = false;
-  bool use_epoll = true;
   uint16_t port = 0;
   std::string filter = "SHARD16[PF[TC]]";
   uint64_t capacity = 4'000'000;
   uint32_t service_threads = 0;
   uint32_t loops = 1;
-  size_t front_cache = 0;
   bool enable_http = false;
   uint16_t http_port = 0;
   double trace_sample = 0.0;
@@ -253,8 +245,6 @@ int main(int argc, char** argv) {
       service_threads = static_cast<uint32_t>(std::atoi(arg.c_str() + 10));
     } else if (arg.rfind("--loops=", 0) == 0) {
       loops = static_cast<uint32_t>(std::max(1, std::atoi(arg.c_str() + 8)));
-    } else if (arg.rfind("--front-cache=", 0) == 0) {
-      front_cache = static_cast<size_t>(std::atoll(arg.c_str() + 14));
     } else if (arg.rfind("--http-port=", 0) == 0) {
       enable_http = true;
       http_port = static_cast<uint16_t>(std::atoi(arg.c_str() + 12));
@@ -262,14 +252,11 @@ int main(int argc, char** argv) {
       trace_sample = std::atof(arg.c_str() + 15);
     } else if (arg.rfind("--trace-slow-ms=", 0) == 0) {
       trace_slow_ms = std::atof(arg.c_str() + 16);
-    } else if (arg == "--poll") {
-      use_epoll = false;
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: example_membership_server [--serve] [--port=P]\n"
           "         [--filter=NAME] [--capacity=N] [--threads=T]\n"
-          "         [--loops=N] [--front-cache=SLOTS] [--poll]\n"
-          "         [--http-port=P] [--trace-sample=RATE]\n"
+          "         [--loops=N] [--http-port=P] [--trace-sample=RATE]\n"
           "         [--trace-slow-ms=MS]\n"
           "Without --serve, runs the self-contained loopback demo.\n"
           "--loops=N serves on N SO_REUSEPORT event loops; --threads=T\n"
@@ -284,9 +271,8 @@ int main(int argc, char** argv) {
     }
   }
   if (serve) {
-    return Serve(filter, capacity, port, service_threads, front_cache,
-                 use_epoll, loops, enable_http, http_port, trace_sample,
-                 trace_slow_ms);
+    return Serve(filter, capacity, port, service_threads, loops, enable_http,
+                 http_port, trace_sample, trace_slow_ms);
   }
   return Demo();
 }

@@ -9,11 +9,9 @@
 //   build/example_pf_stat --connect=HOST:PORT --traces  fetch the server's
 //       retained request traces and print each span timeline
 //
-// Speaks the STATS v2 wire request (src/net/protocol.h): one round trip
-// returns the service counters plus the server's whole metrics-registry
-// snapshot.  Against a pre-v2 server the same request degrades to the v1
-// payload and pf_stat prints the service counters alone.  --traces uses the
-// TRACES opcode; a pre-tracing server reads as "no traces retained".
+// One STATS round trip (src/net/protocol.h) returns the service counters
+// plus the server's whole metrics-registry snapshot.  --traces uses the
+// TRACES opcode.
 #include <chrono>
 #include <cinttypes>
 #include <cstdint>
@@ -93,14 +91,6 @@ void PrintServiceSummary(const net::WireStats& w) {
               " failures)  queried=%" PRIu64 " (in %" PRIu64 " batches)\n",
               w.keys_inserted, w.insert_batches, w.insert_failures,
               w.keys_queried, w.query_batches);
-  const uint64_t looks = w.front_cache_hits + w.front_cache_misses;
-  if (looks != 0) {
-    std::printf("  front-cache: %" PRIu64 " hits / %" PRIu64
-                " misses (%.1f%% hit rate)\n",
-                w.front_cache_hits, w.front_cache_misses,
-                100.0 * static_cast<double>(w.front_cache_hits) /
-                    static_cast<double>(looks));
-  }
 }
 
 // Prints one scrape; `prev` (may be null) turns counters into interval
@@ -109,8 +99,7 @@ void PrintMetrics(const std::vector<obs::MetricSample>& cur,
                   const std::vector<obs::MetricSample>* prev,
                   double interval_s) {
   if (cur.empty()) {
-    std::printf("metrics: (empty — server predates STATS v2 or was built "
-                "with PF_OBS=OFF)\n");
+    std::printf("metrics: (empty — server built with PF_OBS=OFF)\n");
     return;
   }
   std::printf("metrics (%zu series%s):\n", cur.size(),
@@ -197,8 +186,7 @@ int PrintTraces(net::MembershipClient& client) {
   }
   if (traces.empty()) {
     std::printf("traces: none retained (start the server with "
-                "--trace-sample=RATE and/or --trace-slow-ms=MS, or the "
-                "server predates tracing)\n");
+                "--trace-sample=RATE and/or --trace-slow-ms=MS)\n");
     return 0;
   }
   std::printf("traces: %zu retained (slow captures first)\n", traces.size());
@@ -257,7 +245,7 @@ int main(int argc, char** argv) {
   if (traces_mode) return PrintTraces(client);
 
   net::WireStats scrape;
-  if (!client.StatsV2(&scrape)) {
+  if (!client.Stats(&scrape)) {
     std::fprintf(stderr, "scrape failed: %s\n", client.error().c_str());
     return 1;
   }
@@ -273,7 +261,7 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(
         std::chrono::duration<double>(interval_s));
     net::WireStats cur;
-    if (!client.StatsV2(&cur)) {
+    if (!client.Stats(&cur)) {
       std::fprintf(stderr, "scrape failed: %s\n", client.error().c_str());
       return 1;
     }

@@ -41,7 +41,6 @@ void ExercisePayloadParsers(const uint8_t* payload, size_t len) {
   (void)net::DecodeErrorPayload(payload, len, &code, &message);
   net::WireStats stats;
   (void)net::DecodeStatsPayload(payload, len, &stats);
-  (void)net::StatsRequestVersion(payload, len);
 }
 
 }  // namespace

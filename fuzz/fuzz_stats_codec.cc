@@ -1,5 +1,5 @@
-// Fuzz target: the STATS-v2 metrics wire codec (src/obs/exposition.h) plus
-// the enclosing STATS payload decoder and the TRACES payload decoder.
+// Fuzz target: the metrics wire codec (src/obs/exposition.h) plus the
+// enclosing STATS payload decoder and the TRACES payload decoder.
 //
 // DecodeMetricSamples consumes from a ByteReader mid-payload, so it must be
 // robust against arbitrary bytes AND leave the reader in a sane state.  A
@@ -34,13 +34,23 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     }
   }
 
-  // Whole STATS payload (v1, v2, or v3; v2 embeds a metrics blob after the
-  // legacy fields, v3 appends the capability word).
+  // Whole STATS payload (counters, shard array, metrics blob): a successful
+  // decode must re-encode into a payload that decodes again to the same
+  // shard and metric counts.
   {
     prefixfilter::net::WireStats stats;
     if (prefixfilter::net::DecodeStatsPayload(data, size, &stats)) {
       std::vector<uint8_t> encoded;
-      prefixfilter::net::EncodeStatsV2Response(1, stats, &encoded);
+      prefixfilter::net::EncodeStatsResponse(1, stats, &encoded);
+      prefixfilter::net::WireStats again;
+      if (!prefixfilter::net::DecodeStatsPayload(
+              encoded.data() + prefixfilter::net::kFrameHeaderBytes,
+              encoded.size() - prefixfilter::net::kFrameHeaderBytes,
+              &again) ||
+          again.shards.size() != stats.shards.size() ||
+          again.metrics.size() != stats.metrics.size()) {
+        __builtin_trap();  // decoded stats must round-trip
+      }
       (void)obs::RenderPrometheusText(stats.metrics);
     }
   }

@@ -3,9 +3,10 @@
 // Every seed is produced by the repo's own encoders — genuine wire frames,
 // genuine filter snapshots, genuine metrics blobs — because coverage-guided
 // fuzzing starting from valid inputs reaches the deep parser states (CRC-ok
-// frames, version-2 stats, every factory backend's payload layout) that
-// random bytes alone essentially never hit.  A few seeds are then corrupted
-// deliberately (bad CRC, truncation) so the error paths start covered too.
+// frames, stats payloads with metrics, every factory backend's payload
+// layout) that random bytes alone essentially never hit.  A few seeds are
+// then corrupted deliberately (bad CRC/magic/version, truncation) so the
+// error paths start covered too.
 //
 // Usage:  fuzz_make_seeds <corpus-root>
 // writes <corpus-root>/{frame_decoder,deserialize_filter,json,stats_codec}/
@@ -74,8 +75,6 @@ net::WireStats SampleStats() {
   stats.keys_inserted = 4096;
   stats.keys_queried = 8192;
   stats.insert_failures = 1;
-  stats.front_cache_hits = 77;
-  stats.front_cache_misses = 23;
   stats.shards.resize(4);
   for (size_t i = 0; i < stats.shards.size(); ++i) {
     stats.shards[i].inserts = 1000 + i;
@@ -173,17 +172,9 @@ void MakeFrameDecoderSeeds(const fs::path& dir) {
   net::EncodeEmptyRequest(net::Opcode::kSnapshot, 3, &empty_req);
   WriteSeed(dir, "snapshot_request.bin", empty_req);
 
-  std::vector<uint8_t> stats_v1_req;
-  net::EncodeStatsRequest(4, net::kStatsPayloadV1, &stats_v1_req);
-  WriteSeed(dir, "stats_v1_request.bin", stats_v1_req);
-
-  std::vector<uint8_t> stats_v2_req;
-  net::EncodeStatsRequest(5, net::kStatsPayloadV2, &stats_v2_req);
-  WriteSeed(dir, "stats_v2_request.bin", stats_v2_req);
-
-  std::vector<uint8_t> stats_v3_req;
-  net::EncodeStatsRequest(7, net::kStatsPayloadV3, &stats_v3_req);
-  WriteSeed(dir, "stats_v3_request.bin", stats_v3_req);
+  std::vector<uint8_t> stats_req;
+  net::EncodeEmptyRequest(net::Opcode::kStats, 4, &stats_req);
+  WriteSeed(dir, "stats_request.bin", stats_req);
 
   // Traced query frame: kFlagTraced plus the 9-byte trace-context prefix
   // ahead of the key batch — the newest header-flags state in the decoder.
@@ -226,20 +217,9 @@ void MakeFrameDecoderSeeds(const fs::path& dir) {
                            "payload length mismatch", &error_resp);
   WriteSeed(dir, "error_response.bin", error_resp);
 
-  const net::WireStats stats = SampleStats();
-  std::vector<uint8_t> stats_v1_resp;
-  net::EncodeStatsResponse(4, stats, &stats_v1_resp);
-  WriteSeed(dir, "stats_v1_response.bin", stats_v1_resp);
-
-  std::vector<uint8_t> stats_v2_resp;
-  net::EncodeStatsV2Response(5, stats, &stats_v2_resp);
-  WriteSeed(dir, "stats_v2_response.bin", stats_v2_resp);
-
-  net::WireStats stats_v3 = stats;
-  stats_v3.capabilities = net::kCapTraceContext | net::kCapTraces;
-  std::vector<uint8_t> stats_v3_resp;
-  net::EncodeStatsV3Response(7, stats_v3, &stats_v3_resp);
-  WriteSeed(dir, "stats_v3_response.bin", stats_v3_resp);
+  std::vector<uint8_t> stats_resp;
+  net::EncodeStatsResponse(4, SampleStats(), &stats_resp);
+  WriteSeed(dir, "stats_response.bin", stats_resp);
 
   std::vector<uint8_t> traces_resp;
   net::EncodeTracesResponse(9, SampleTraces(), &traces_resp);
@@ -263,6 +243,11 @@ void MakeFrameDecoderSeeds(const fs::path& dir) {
   std::vector<uint8_t> bad_magic = query_req;
   bad_magic[0] ^= 0xff;
   WriteSeed(dir, "bad_magic.bin", bad_magic);
+
+  // A version-1 peer's frame: rejected by the header check, never parsed.
+  std::vector<uint8_t> bad_version = query_req;
+  bad_version[4] = 1;
+  WriteSeed(dir, "bad_version.bin", bad_version);
 }
 
 // --- deserialize_filter -----------------------------------------------------
@@ -341,17 +326,11 @@ void MakeStatsCodecSeeds(const fs::path& dir) {
 
   // The fuzz target consumes bare payloads (it sits below the framing), so
   // strip the 24-byte frame header off the encoders' full-frame output.
-  std::vector<uint8_t> v1_frame;
-  net::EncodeStatsResponse(1, stats, &v1_frame);
-  WriteSeed(dir, "stats_v1_payload.bin",
-            std::vector<uint8_t>(v1_frame.begin() + net::kFrameHeaderBytes,
-                                 v1_frame.end()));
-
-  std::vector<uint8_t> v2_frame;
-  net::EncodeStatsV2Response(1, stats, &v2_frame);
-  WriteSeed(dir, "stats_v2_payload.bin",
-            std::vector<uint8_t>(v2_frame.begin() + net::kFrameHeaderBytes,
-                                 v2_frame.end()));
+  std::vector<uint8_t> stats_frame;
+  net::EncodeStatsResponse(1, stats, &stats_frame);
+  WriteSeed(dir, "stats_payload.bin",
+            std::vector<uint8_t>(stats_frame.begin() + net::kFrameHeaderBytes,
+                                 stats_frame.end()));
 
   std::vector<uint8_t> metrics_blob;
   obs::EncodeMetricSamples(stats.metrics, &metrics_blob);
@@ -365,14 +344,6 @@ void MakeStatsCodecSeeds(const fs::path& dir) {
                                  metrics_blob.begin() +
                                      metrics_blob.size() / 2);
   WriteSeed(dir, "metrics_truncated.bin", truncated);
-
-  net::WireStats stats_v3 = stats;
-  stats_v3.capabilities = net::kCapTraceContext | net::kCapTraces;
-  std::vector<uint8_t> v3_frame;
-  net::EncodeStatsV3Response(1, stats_v3, &v3_frame);
-  WriteSeed(dir, "stats_v3_payload.bin",
-            std::vector<uint8_t>(v3_frame.begin() + net::kFrameHeaderBytes,
-                                 v3_frame.end()));
 
   std::vector<uint8_t> traces_frame;
   net::EncodeTracesResponse(1, SampleTraces(), &traces_frame);

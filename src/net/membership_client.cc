@@ -233,22 +233,19 @@ uint64_t MembershipClient::NextTraceRandom() {
   return x;
 }
 
-bool MembershipClient::TraceNegotiated() {
-  if (trace_threshold_ == 0) return false;
-  if (trace_capable_ < 0) {
-    // One STATS v3 roundtrip decides whether the server understands
-    // kFlagTraced.  Only a decoded answer latches the verdict; a transport
-    // failure leaves the question open for the next RPC, so a server that was
-    // briefly unreachable does not silence tracing forever.
-    WireStats stats;
-    if (!StatsV3(&stats)) return false;
-    trace_capable_ = (stats.capabilities & kCapTraceContext) != 0 ? 1 : 0;
+void MembershipClient::EncodeQueryFrame(uint64_t request_id,
+                                        const uint64_t* keys, size_t count,
+                                        std::vector<uint8_t>* out) {
+  if (trace_threshold_ != 0 && NextTraceRandom() <= trace_threshold_) {
+    TraceContext context;
+    context.trace_id = NextTraceRandom() | 1;  // 0 means "server assigns"
+    context.sampled = true;
+    EncodeTracedKeyBatchRequest(Opcode::kQueryBatch, request_id, context, keys,
+                                count, out);
+    ++frames_traced_;
+  } else {
+    EncodeKeyBatchRequest(Opcode::kQueryBatch, request_id, keys, count, out);
   }
-  return trace_capable_ == 1;
-}
-
-bool MembershipClient::ShouldTraceFrame() {
-  return TraceNegotiated() && NextTraceRandom() <= trace_threshold_;
 }
 
 bool MembershipClient::QueryBatch(const uint64_t* keys, size_t count,
@@ -256,21 +253,9 @@ bool MembershipClient::QueryBatch(const uint64_t* keys, size_t count,
   // Over-cap batches ride the pipelined path, which already frames in
   // kMaxKeysPerFrame-or-smaller slices.
   if (count > kMaxKeysPerFrame) return QueryPipelined(keys, count, out);
-  // Sampled before the id so the lazy negotiation roundtrip (which consumes
-  // ids of its own) finishes before this frame's id is drawn.
-  const bool traced = ShouldTraceFrame();
   const uint64_t id = next_request_id_++;
   std::vector<uint8_t> request;
-  if (traced) {
-    TraceContext context;
-    context.trace_id = NextTraceRandom() | 1;  // 0 means "server assigns"
-    context.sampled = true;
-    EncodeTracedKeyBatchRequest(Opcode::kQueryBatch, id, context, keys, count,
-                                &request);
-    ++frames_traced_;
-  } else {
-    EncodeKeyBatchRequest(Opcode::kQueryBatch, id, keys, count, &request);
-  }
+  EncodeQueryFrame(id, keys, count, &request);
   Frame response;
   if (!Roundtrip(request, id, &response)) return false;
   if (response.opcode != static_cast<uint8_t>(Opcode::kQueryBatch) ||
@@ -293,10 +278,6 @@ bool MembershipClient::Contains(uint64_t key, bool* present) {
 
 bool MembershipClient::QueryPipelined(const uint64_t* keys, size_t count,
                                       std::vector<uint8_t>* out) {
-  // Negotiate before the window opens: the negotiation is its own strict
-  // request/response exchange and must not interleave with in-flight
-  // pipelined frames.
-  const bool trace_eligible = TraceNegotiated();
   const int attempts = options_.auto_reconnect ? 2 : 1;
   for (int attempt = 0; attempt < attempts; ++attempt) {
     if (attempt > 0) ++reconnects_;
@@ -327,17 +308,7 @@ bool MembershipClient::QueryPipelined(const uint64_t* keys, size_t count,
         const size_t n = std::min(options_.max_batch_keys, count - sent);
         const uint64_t id = next_request_id_++;
         request.clear();
-        if (trace_eligible && NextTraceRandom() <= trace_threshold_) {
-          TraceContext context;
-          context.trace_id = NextTraceRandom() | 1;
-          context.sampled = true;
-          EncodeTracedKeyBatchRequest(Opcode::kQueryBatch, id, context,
-                                      keys + sent, n, &request);
-          ++frames_traced_;
-        } else {
-          EncodeKeyBatchRequest(Opcode::kQueryBatch, id, keys + sent, n,
-                                &request);
-        }
+        EncodeQueryFrame(id, keys + sent, n, &request);
         if (!SendAll(request.data(), request.size())) {
           transport_ok = false;
           break;
@@ -405,59 +376,13 @@ bool MembershipClient::Stats(WireStats* out) {
   return true;
 }
 
-bool MembershipClient::StatsV2(WireStats* out) {
-  const uint64_t id = next_request_id_++;
-  std::vector<uint8_t> request;
-  EncodeStatsRequest(id, kStatsPayloadV2, &request);
-  Frame response;
-  if (!Roundtrip(request, id, &response)) return false;
-  if (response.opcode != static_cast<uint8_t>(Opcode::kStats) ||
-      !DecodeStatsPayload(response.payload.data(), response.payload.size(),
-                          out)) {
-    Fail("malformed STATS response");
-    Disconnect();
-    return false;
-  }
-  return true;
-}
-
-bool MembershipClient::StatsV3(WireStats* out) {
-  const uint64_t id = next_request_id_++;
-  std::vector<uint8_t> request;
-  EncodeStatsRequest(id, kStatsPayloadV3, &request);
-  Frame response;
-  if (!Roundtrip(request, id, &response)) return false;
-  if (response.opcode != static_cast<uint8_t>(Opcode::kStats) ||
-      !DecodeStatsPayload(response.payload.data(), response.payload.size(),
-                          out)) {
-    Fail("malformed STATS response");
-    Disconnect();
-    return false;
-  }
-  return true;
-}
-
 bool MembershipClient::Traces(std::vector<obs::Trace>* out) {
   out->clear();
   const uint64_t id = next_request_id_++;
   std::vector<uint8_t> request;
   EncodeEmptyRequest(Opcode::kTraces, id, &request);
   Frame response;
-  if (!Roundtrip(request, id, &response)) {
-    // A pre-tracing server answers kUnsupported (protocol.h): that reads as
-    // "no traces", not a failure, so mixed fleets stay queryable.
-    ErrorCode code;
-    std::string message;
-    if (response.is_response() && response.request_id == id &&
-        response.is_error() &&
-        DecodeErrorPayload(response.payload.data(), response.payload.size(),
-                           &code, &message) &&
-        code == ErrorCode::kUnsupported) {
-      error_.clear();
-      return true;
-    }
-    return false;
-  }
+  if (!Roundtrip(request, id, &response)) return false;
   if (response.opcode != static_cast<uint8_t>(Opcode::kTraces) ||
       !DecodeTracesPayload(response.payload.data(), response.payload.size(),
                            out)) {

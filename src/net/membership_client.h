@@ -52,10 +52,7 @@ struct ClientOptions {
   size_t record_frames_limit = 256;
   // Fraction of QUERY_BATCH frames (single-frame and pipelined) sent with a
   // kFlagTraced context prefix, client-sampled (0 disables, >= 1 traces every
-  // frame).  Before the first traced frame the client performs one STATS v3
-  // roundtrip and only ever sets the flag when the server advertised
-  // kCapTraceContext, so a traced client degrades cleanly against old
-  // servers.
+  // frame).  The flag rides the query frame itself; no extra exchange.
   double trace_sample_rate = 0.0;
 };
 
@@ -90,21 +87,12 @@ class MembershipClient {
   bool QueryPipelined(const uint64_t* keys, size_t count,
                       std::vector<uint8_t>* out);
 
+  // Service counters, per-shard counters, and the server's metrics-registry
+  // snapshot.
   bool Stats(WireStats* out);
-  // Requests the v2 stats payload (front_cache_misses + the server's full
-  // metrics-registry snapshot).  A pre-v2 server ignores the request marker
-  // and answers v1, which still decodes — out->metrics is simply empty, so
-  // callers distinguish by out->metrics.empty().
-  bool StatsV2(WireStats* out);
-  // Requests the v3 stats payload (v2 + the capability bitmask that gates
-  // trace-context negotiation).  Pre-v3 servers answer whatever they speak;
-  // out->capabilities stays 0, which reads as "no capabilities".
-  bool StatsV3(WireStats* out);
   bool Snapshot(std::vector<uint8_t>* out);
 
-  // Fetches the server's recent trace captures (Opcode::kTraces).  A
-  // pre-tracing server answers kUnsupported, which this treats as an empty
-  // trace list, not a failure.
+  // Fetches the server's recent trace captures (Opcode::kTraces).
   bool Traces(std::vector<obs::Trace>* out);
 
   // --- client-side counters -------------------------------------------------
@@ -136,11 +124,9 @@ class MembershipClient {
   void Fail(const std::string& message);
   // Appends one recorded frame file (see ClientOptions::record_frames_dir).
   void RecordFrameBytes(const char* tag, const uint8_t* data, size_t len);
-  // True when trace_sample_rate is active and the server has advertised
-  // kCapTraceContext; lazily runs the one-time STATS v3 negotiation.
-  bool TraceNegotiated();
-  // Coin flip for one frame: negotiated AND the sampler fires.
-  bool ShouldTraceFrame();
+  // Appends one QUERY_BATCH frame, traced when the sampler fires.
+  void EncodeQueryFrame(uint64_t request_id, const uint64_t* keys,
+                        size_t count, std::vector<uint8_t>* out);
   uint64_t NextTraceRandom();
 
   ClientOptions options_;
@@ -149,14 +135,10 @@ class MembershipClient {
   FrameDecoder decoder_;
   std::string error_;
 
-  // Sampler state: threshold over the full u64 range (0 = tracing off), a
-  // per-client xorshift64 stream, and the negotiation latch (-1 unknown,
-  // 0 server lacks the capability, 1 negotiated).  Latched for the client's
-  // lifetime: the capability is a property of the server build, and a
-  // reconnect redials the same endpoint.
+  // Sampler state: threshold over the full u64 range (0 = tracing off) and a
+  // per-client xorshift64 stream.
   uint64_t trace_threshold_ = 0;
   uint64_t trace_rng_ = 1;
-  int trace_capable_ = -1;
 
   uint64_t frames_sent_ = 0;
   uint64_t frames_received_ = 0;

@@ -42,8 +42,6 @@ WireStats CollectWireStats(const FilterService& service) {
   wire.keys_inserted = stats.keys_inserted;
   wire.keys_queried = stats.keys_queried;
   wire.insert_failures = stats.insert_failures;
-  wire.front_cache_hits = stats.front_cache_hits;
-  wire.front_cache_misses = stats.front_cache_misses;
   const ShardedFilter& filter = service.filter();
   wire.filter_name = filter.Name();
   wire.capacity = filter.Capacity();
@@ -308,8 +306,8 @@ bool MembershipServer::Start() {
     }
     loop->wake_read_fd = wake[0];
     loop->wake_write_fd = wake[1];
-    loop->poller = Poller::Create(options_.use_epoll);
-    if (loop->poller == nullptr || !loop->poller->Add(loop->listen_fd, false) ||
+    loop->poller = std::make_unique<Poller>();
+    if (!loop->poller->ok() || !loop->poller->Add(loop->listen_fd, false) ||
         !loop->poller->Add(loop->wake_read_fd, false) ||
         (loop->http_listen_fd >= 0 &&
          !loop->poller->Add(loop->http_listen_fd, false))) {
@@ -370,12 +368,6 @@ void MembershipServer::Stop() {
     }
     loop->poller.reset();
   }
-}
-
-const char* MembershipServer::poller_name() const {
-  return !loops_.empty() && loops_[0]->poller != nullptr
-             ? loops_[0]->poller->name()
-             : "none";
 }
 
 ServerStats MembershipServer::stats() const {
@@ -822,22 +814,8 @@ void MembershipServer::HandleFrame(
     case Opcode::kStats: {
       obs::ScopedLatency timer(stats_request_hist_);
       WireStats wire = CollectWireStats(*service_);
-      const uint8_t version = StatsRequestVersion(payload, payload_len);
-      if (version >= kStatsPayloadV3) {
-        wire.metrics = registry_->Collect();
-        // Capabilities advertise what this build actually serves: with
-        // observability compiled out, traced frames would decode but never
-        // record, so the server does not invite them.
-        wire.capabilities =
-            obs::kEnabled ? (kCapTraceContext | kCapTraces) : 0u;
-        EncodeStatsV3Response(frame.request_id, wire, &conn.outbox);
-      } else if (version >= kStatsPayloadV2) {
-        wire.metrics = registry_->Collect();
-        EncodeStatsV2Response(frame.request_id, wire, &conn.outbox);
-      } else {
-        // Byte-identical to the pre-v2 encoding: old clients keep working.
-        EncodeStatsResponse(frame.request_id, wire, &conn.outbox);
-      }
+      wire.metrics = registry_->Collect();
+      EncodeStatsResponse(frame.request_id, wire, &conn.outbox);
       return;
     }
     case Opcode::kTraces: {

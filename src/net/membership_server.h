@@ -3,10 +3,10 @@
 // Scale-out is two layers deep (ROADMAP item 1):
 //
 // Loop-per-core: ServerOptions::num_loops spawns N independent event-loop
-// threads, each with its own Poller (epoll on Linux, poll(2) fallback) and —
-// where SO_REUSEPORT is available — its own listening socket bound to the
-// same address, so the kernel balances incoming connections across loops
-// with no shared accept state.  Where SO_REUSEPORT is unavailable (or
+// threads, each with its own epoll Poller and — where SO_REUSEPORT is
+// available — its own listening socket bound to the same address, so the
+// kernel balances incoming connections across loops with no shared accept
+// state.  Where SO_REUSEPORT is unavailable (or
 // disabled via ServerOptions::use_reuseport), every loop polls one shared
 // listening socket and accepts under a shared mutex.  A connection is owned
 // by exactly one loop for its whole life; per-loop traffic counters surface
@@ -65,9 +65,6 @@ struct ServerOptions {
   // 0 = kernel-assigned ephemeral port, reported by port().
   uint16_t port = 0;
   int backlog = 128;
-  // false forces the portable poll(2) Poller even where epoll exists (each
-  // loop creates its own Poller either way).
-  bool use_epoll = true;
   // Event-loop threads.  Each loop owns a Poller and a slice of the
   // connections; >1 binds one SO_REUSEPORT listener per loop (kernel-
   // balanced accept) where available, else falls back to shared-mutex
@@ -102,7 +99,7 @@ struct ServerOptions {
   // port, reported by http_port().
   bool enable_http = false;
   uint16_t http_port = 0;
-  // Registry the server instruments into and the one /metrics + STATS v2
+  // Registry the server instruments into and the one /metrics + STATS
   // expose; nullptr = obs::MetricsRegistry::Global().  Must be the registry
   // the FilterService uses for its samples to appear in the same scrape.
   obs::MetricsRegistry* registry = nullptr;
@@ -165,8 +162,6 @@ class MembershipServer {
   // The bound HTTP port, valid after Start() when options.enable_http.
   uint16_t http_port() const { return http_port_; }
   const std::string& error() const { return error_; }
-  // "epoll" or "poll", valid after Start().
-  const char* poller_name() const;
   // Loops actually running (options.num_loops clamped), valid after Start().
   uint32_t num_loops() const { return static_cast<uint32_t>(loops_.size()); }
   // True when every loop owns its own SO_REUSEPORT listener; false on the

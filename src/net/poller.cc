@@ -1,136 +1,53 @@
 #include "src/net/poller.h"
 
-#include <poll.h>
+#include <sys/epoll.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <unordered_map>
-
-#if defined(__linux__)
-#define PF_NET_HAVE_EPOLL 1
-#include <sys/epoll.h>
-#endif
 
 namespace prefixfilter::net {
-namespace {
 
-#if PF_NET_HAVE_EPOLL
+Poller::Poller() : epfd_(epoll_create1(EPOLL_CLOEXEC)) {}
 
-class EpollPoller final : public Poller {
- public:
-  EpollPoller() : epfd_(epoll_create1(EPOLL_CLOEXEC)) {}
-  ~EpollPoller() override {
-    if (epfd_ >= 0) ::close(epfd_);
+Poller::~Poller() {
+  if (epfd_ >= 0) ::close(epfd_);
+}
+
+bool Poller::Add(int fd, bool want_write) {
+  return Ctl(EPOLL_CTL_ADD, fd, /*want_read=*/true, want_write);
+}
+
+bool Poller::Update(int fd, bool want_read, bool want_write) {
+  return Ctl(EPOLL_CTL_MOD, fd, want_read, want_write);
+}
+
+void Poller::Remove(int fd) {
+  epoll_event ev{};
+  epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, &ev);
+}
+
+bool Poller::Wait(int timeout_ms, std::vector<PollEvent>* events) {
+  events->clear();
+  epoll_event ready[128];
+  const int n = epoll_wait(epfd_, ready, 128, timeout_ms);
+  if (n < 0) return errno == EINTR;
+  events->reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    PollEvent e;
+    e.fd = ready[i].data.fd;
+    e.readable = (ready[i].events & (EPOLLIN | EPOLLHUP)) != 0;
+    e.writable = (ready[i].events & EPOLLOUT) != 0;
+    e.error = (ready[i].events & (EPOLLERR | EPOLLHUP)) != 0;
+    events->push_back(e);
   }
+  return true;
+}
 
-  bool ok() const { return epfd_ >= 0; }
-
-  bool Add(int fd, bool want_write) override {
-    return Ctl(EPOLL_CTL_ADD, fd, /*want_read=*/true, want_write);
-  }
-  bool Update(int fd, bool want_read, bool want_write) override {
-    return Ctl(EPOLL_CTL_MOD, fd, want_read, want_write);
-  }
-  void Remove(int fd) override {
-    epoll_event ev{};
-    epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, &ev);
-  }
-
-  bool Wait(int timeout_ms, std::vector<PollEvent>* events) override {
-    events->clear();
-    epoll_event ready[128];
-    const int n = epoll_wait(epfd_, ready, 128, timeout_ms);
-    if (n < 0) return errno == EINTR;
-    events->reserve(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      PollEvent e;
-      e.fd = ready[i].data.fd;
-      e.readable = (ready[i].events & (EPOLLIN | EPOLLHUP)) != 0;
-      e.writable = (ready[i].events & EPOLLOUT) != 0;
-      e.error = (ready[i].events & (EPOLLERR | EPOLLHUP)) != 0;
-      events->push_back(e);
-    }
-    return true;
-  }
-
-  const char* name() const override { return "epoll"; }
-
- private:
-  bool Ctl(int op, int fd, bool want_read, bool want_write) {
-    epoll_event ev{};
-    ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
-    ev.data.fd = fd;
-    return epoll_ctl(epfd_, op, fd, &ev) == 0;
-  }
-
-  int epfd_;
-};
-
-#endif  // PF_NET_HAVE_EPOLL
-
-class PollPoller final : public Poller {
- public:
-  bool Add(int fd, bool want_write) override {
-    if (interest_.count(fd) != 0) return false;
-    interest_[fd] = {true, want_write};
-    return true;
-  }
-  bool Update(int fd, bool want_read, bool want_write) override {
-    auto it = interest_.find(fd);
-    if (it == interest_.end()) return false;
-    it->second = {want_read, want_write};
-    return true;
-  }
-  void Remove(int fd) override { interest_.erase(fd); }
-
-  bool Wait(int timeout_ms, std::vector<PollEvent>* events) override {
-    events->clear();
-    fds_.clear();
-    fds_.reserve(interest_.size());
-    for (const auto& [fd, interest] : interest_) {
-      pollfd p{};
-      p.fd = fd;
-      p.events = static_cast<short>((interest.want_read ? POLLIN : 0) |
-                                    (interest.want_write ? POLLOUT : 0));
-      fds_.push_back(p);
-    }
-    const int n = ::poll(fds_.data(), fds_.size(), timeout_ms);
-    if (n < 0) return errno == EINTR;
-    for (const pollfd& p : fds_) {
-      if (p.revents == 0) continue;
-      PollEvent e;
-      e.fd = p.fd;
-      e.readable = (p.revents & (POLLIN | POLLHUP)) != 0;
-      e.writable = (p.revents & POLLOUT) != 0;
-      e.error = (p.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
-      events->push_back(e);
-    }
-    return true;
-  }
-
-  const char* name() const override { return "poll"; }
-
- private:
-  struct Interest {
-    bool want_read;
-    bool want_write;
-  };
-  std::unordered_map<int, Interest> interest_;
-  std::vector<pollfd> fds_;  // scratch rebuilt per Wait
-};
-
-}  // namespace
-
-std::unique_ptr<Poller> Poller::Create(bool prefer_epoll) {
-#if PF_NET_HAVE_EPOLL
-  if (prefer_epoll) {
-    auto epoll = std::make_unique<EpollPoller>();
-    if (epoll->ok()) return epoll;
-  }
-#else
-  (void)prefer_epoll;
-#endif
-  return std::make_unique<PollPoller>();
+bool Poller::Ctl(int op, int fd, bool want_read, bool want_write) {
+  epoll_event ev{};
+  ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
+  ev.data.fd = fd;
+  return epoll_ctl(epfd_, op, fd, &ev) == 0;
 }
 
 }  // namespace prefixfilter::net

@@ -1,19 +1,13 @@
-// Readiness-notification abstraction for the membership server's event loop.
+// Readiness notification for the membership server's event loop: a
+// level-triggered epoll wrapper (O(ready) wakeups independent of connection
+// count).  Level-triggered semantics let the event loop leave data unread
+// and be woken again.
 //
-// Two implementations behind one interface: a level-triggered epoll poller
-// (Linux, the production path — O(ready) wakeups independent of connection
-// count) and a portable poll(2) poller (any POSIX system, and a forcing
-// option so tests exercise the fallback on Linux too).  Level-triggered
-// semantics keep both implementations interchangeable: the event loop may
-// leave data unread and will be woken again.
-//
-// Pollers are single-threaded objects owned by the event loop; none of the
+// A Poller is a single-threaded object owned by one event loop; none of the
 // methods are thread-safe.
 #ifndef PREFIXFILTER_SRC_NET_POLLER_H_
 #define PREFIXFILTER_SRC_NET_POLLER_H_
 
-#include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace prefixfilter::net {
@@ -29,30 +23,33 @@ struct PollEvent {
 
 class Poller {
  public:
-  virtual ~Poller() = default;
+  Poller();
+  ~Poller();
+
+  Poller(const Poller&) = delete;
+  Poller& operator=(const Poller&) = delete;
+
+  // False when the kernel refused an epoll instance.
+  bool ok() const { return epfd_ >= 0; }
 
   // Registers `fd` for read readiness, plus write readiness when
   // `want_write`.  A given fd is registered at most once.
-  virtual bool Add(int fd, bool want_write) = 0;
+  bool Add(int fd, bool want_write);
   // Changes the interest set of an already-registered fd.  Dropping read
   // interest lets the owner park a half-closed connection that only has
   // output left to drain (a level-triggered EOF would otherwise wake the
   // loop forever).
-  virtual bool Update(int fd, bool want_read, bool want_write) = 0;
-  virtual void Remove(int fd) = 0;
+  bool Update(int fd, bool want_read, bool want_write);
+  void Remove(int fd);
 
   // Blocks up to `timeout_ms` (-1 = indefinitely) and fills `events` with
   // ready fds.  Returns false only on unrecoverable poller failure.
-  virtual bool Wait(int timeout_ms, std::vector<PollEvent>* events) = 0;
+  bool Wait(int timeout_ms, std::vector<PollEvent>* events);
 
-  // Implementation name for logs/stats ("epoll" or "poll").
-  virtual const char* name() const = 0;
+ private:
+  bool Ctl(int op, int fd, bool want_read, bool want_write);
 
-  // Builds the best available poller: epoll on Linux unless `prefer_epoll`
-  // is false, poll(2) otherwise.  Returns nullptr only when the kernel
-  // refuses an epoll instance AND poll construction fails (never in
-  // practice).
-  static std::unique_ptr<Poller> Create(bool prefer_epoll);
+  int epfd_;
 };
 
 }  // namespace prefixfilter::net

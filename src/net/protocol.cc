@@ -208,89 +208,35 @@ bool DecodeErrorPayload(const uint8_t* payload, size_t len, ErrorCode* code,
   return true;
 }
 
-namespace {
-
-// Shared by both response versions: everything the v1 payload carries after
-// the version byte.  Keeping one spelling guarantees the v2 layout is a
-// strict prefix-extension of v1.
-void WriteStatsV1Fields(ByteWriter* w, const WireStats& stats) {
-  w->Str(stats.filter_name);
-  w->U64(stats.capacity);
-  w->U64(stats.insert_batches);
-  w->U64(stats.query_batches);
-  w->U64(stats.keys_inserted);
-  w->U64(stats.keys_queried);
-  w->U64(stats.insert_failures);
-  w->U64(stats.front_cache_hits);
-  w->U32(static_cast<uint32_t>(stats.shards.size()));
-  for (const WireShardStats& s : stats.shards) {
-    w->U64(s.inserts);
-    w->U64(s.insert_failures);
-    w->U64(s.queries);
-    w->U64(s.hits);
-  }
-}
-
-}  // namespace
-
-void EncodeStatsRequest(uint64_t request_id, uint8_t max_version,
-                        std::vector<uint8_t>* out) {
-  if (max_version <= kStatsPayloadV1) {
-    // The legacy request is the empty payload; old servers require
-    // remaining() == 0 semantics only on responses, but keep the historical
-    // bytes anyway.
-    AppendFrame(Opcode::kStats, 0, request_id, nullptr, 0, out);
-    return;
-  }
-  const uint8_t payload[1] = {max_version};
-  AppendFrame(Opcode::kStats, 0, request_id, payload, sizeof(payload), out);
-}
-
-uint8_t StatsRequestVersion(const uint8_t* payload, size_t len) {
-  if (len == 0 || payload == nullptr) return kStatsPayloadV1;
-  if (payload[0] >= kStatsPayloadV3) return kStatsPayloadV3;
-  return payload[0] >= kStatsPayloadV2 ? kStatsPayloadV2 : kStatsPayloadV1;
-}
-
 void EncodeStatsResponse(uint64_t request_id, const WireStats& stats,
                          std::vector<uint8_t>* out) {
-  std::vector<uint8_t> payload;
-  ByteWriter w(&payload);
-  w.U8(kStatsPayloadV1);
-  WriteStatsV1Fields(&w, stats);
-  AppendFrame(Opcode::kStats, kFlagResponse, request_id, payload.data(),
-              payload.size(), out);
-}
-
-void EncodeStatsV2Response(uint64_t request_id, const WireStats& stats,
-                           std::vector<uint8_t>* out) {
-  std::vector<uint8_t> payload;
-  ByteWriter w(&payload);
-  w.U8(kStatsPayloadV2);
-  WriteStatsV1Fields(&w, stats);
-  w.U64(stats.front_cache_misses);
-  obs::EncodeMetricSamples(stats.metrics, &payload);
-  AppendFrame(Opcode::kStats, kFlagResponse, request_id, payload.data(),
-              payload.size(), out);
-}
-
-void EncodeStatsV3Response(uint64_t request_id, const WireStats& stats,
-                           std::vector<uint8_t>* out) {
-  std::vector<uint8_t> payload;
-  ByteWriter w(&payload);
-  w.U8(kStatsPayloadV3);
-  WriteStatsV1Fields(&w, stats);
-  w.U64(stats.front_cache_misses);
-  obs::EncodeMetricSamples(stats.metrics, &payload);
-  w.U32(stats.capabilities);
-  AppendFrame(Opcode::kStats, kFlagResponse, request_id, payload.data(),
-              payload.size(), out);
+  // Written in place behind a header slot, which is filled in last.
+  const size_t base = out->size();
+  out->resize(base + kFrameHeaderBytes);
+  ByteWriter w(out);
+  w.Str(stats.filter_name);
+  w.U64(stats.capacity);
+  w.U64(stats.insert_batches);
+  w.U64(stats.query_batches);
+  w.U64(stats.keys_inserted);
+  w.U64(stats.keys_queried);
+  w.U64(stats.insert_failures);
+  w.U32(static_cast<uint32_t>(stats.shards.size()));
+  for (const WireShardStats& s : stats.shards) {
+    w.U64(s.inserts);
+    w.U64(s.insert_failures);
+    w.U64(s.queries);
+    w.U64(s.hits);
+  }
+  obs::EncodeMetricSamples(stats.metrics, out);
+  uint8_t* h = out->data() + base;
+  const size_t payload_len = out->size() - base - kFrameHeaderBytes;
+  WriteHeader(h, Opcode::kStats, kFlagResponse, request_id, payload_len,
+              Crc32(h + kFrameHeaderBytes, payload_len));
 }
 
 bool DecodeStatsPayload(const uint8_t* payload, size_t len, WireStats* stats) {
   ByteReader r(payload, len);
-  const uint8_t version = r.U8();
-  if (version < kStatsPayloadV1 || version > kStatsPayloadV3) return false;
   WireStats out;
   out.filter_name = r.Str();
   out.capacity = r.U64();
@@ -299,7 +245,6 @@ bool DecodeStatsPayload(const uint8_t* payload, size_t len, WireStats* stats) {
   out.keys_inserted = r.U64();
   out.keys_queried = r.U64();
   out.insert_failures = r.U64();
-  out.front_cache_hits = r.U64();
   const uint32_t num_shards = r.U32();
   // 32 bytes per shard must fit in what remains; bounds the allocation.
   if (!r.ok() || static_cast<size_t>(num_shards) * 32 > r.remaining()) {
@@ -312,13 +257,7 @@ bool DecodeStatsPayload(const uint8_t* payload, size_t len, WireStats* stats) {
     s.queries = r.U64();
     s.hits = r.U64();
   }
-  if (version >= kStatsPayloadV2) {
-    out.front_cache_misses = r.U64();
-    if (!obs::DecodeMetricSamples(&r, &out.metrics)) return false;
-  }
-  if (version >= kStatsPayloadV3) {
-    out.capabilities = r.U32();
-  }
+  if (!obs::DecodeMetricSamples(&r, &out.metrics)) return false;
   if (!r.ok() || r.remaining() != 0) return false;
   *stats = std::move(out);
   return true;

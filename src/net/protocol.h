@@ -13,7 +13,7 @@
 //
 //   offset  size  field
 //        0     4  magic        0x50464E31 ("PFN1")
-//        4     1  version      kProtocolVersion (1)
+//        4     1  version      kProtocolVersion (2)
 //        5     1  opcode       Opcode below
 //        6     2  flags        bit 0 = response, bit 1 = error response,
 //                              bit 2 = payload starts with a trace context
@@ -25,12 +25,8 @@
 //   INSERT_BATCH / QUERY_BATCH request:  u32 count, then count x u64 keys
 //   INSERT_BATCH response:               u64 failed-insert count
 //   QUERY_BATCH  response:               u32 count, then count x u8 (0/1)
-//   STATS        request:                empty (v1) or u8 max payload
-//                                        version the client accepts (>= 2)
-//   STATS        response:               WireStats; payload version byte 1
-//                                        (legacy fields), 2 (adds
-//                                        front_cache_misses + metrics blob),
-//                                        or 3 (adds u32 capabilities)
+//   STATS        request:                empty
+//   STATS        response:               WireStats (see EncodeStatsResponse)
 //   SNAPSHOT     request:                empty
 //   SNAPSHOT     response:               AnyFilter envelope bytes (the same
 //                                        image FilterService::Snapshot writes)
@@ -43,12 +39,9 @@
 // Trace context (kFlagTraced, bit 2): when set on a request, the payload is
 // prefixed with kTraceContextBytes of trace context — u64 trace id + u8
 // context flags (bit 0 = sampled) — and the opcode's normal payload follows.
-// The bit is strictly opt-in and version-negotiated: a server advertises
-// kCapTraceContext in its STATS v3 capabilities, and a client that has not
-// seen that capability must never set the bit (a pre-tracing server's exact
-// payload-length validation would reject the frame).  With the bit unset
-// every frame is byte-identical to the pre-tracing protocol, so old and new
-// peers interoperate both ways — the same discipline as STATS v2.
+// Every version-2 server accepts the bit on any request and strips the
+// prefix before parsing; a server built with observability compiled out
+// simply records nothing.
 //
 // Response ordering: the request_id echo is the correlation contract.  A
 // synchronous (no worker pool) server answers every frame in request order,
@@ -60,8 +53,10 @@
 // FIFO response order beyond one-frame-at-a-time request/response use.
 //
 // Versioning: the header's version byte gates the whole frame; a decoder
-// seeing an unknown version reports kBadVersion without consuming past the
-// header, so a future v2 can extend payloads freely behind a version bump.
+// seeing any other version reports kBadVersion without consuming past the
+// header.  Payloads carry no version of their own: a layout change is a
+// header version bump, so a version-1 peer (whose STATS payload had a
+// different layout) is rejected cleanly instead of misdecoded.
 //
 // Robustness: FrameDecoder is incremental (feed arbitrary byte slices) and
 // malformed-input-safe — bad magic/version/length/checksum poison the stream
@@ -83,7 +78,7 @@
 namespace prefixfilter::net {
 
 inline constexpr uint32_t kFrameMagic = 0x50464E31;  // "PFN1"
-inline constexpr uint8_t kProtocolVersion = 1;
+inline constexpr uint8_t kProtocolVersion = 2;
 inline constexpr size_t kFrameHeaderBytes = 24;
 // Upper bound on a frame payload.  Requests are key batches (a 1M-key batch
 // is 8 MiB); responses include whole service snapshots, which for the
@@ -105,8 +100,7 @@ bool IsKnownOpcode(uint8_t raw);
 
 inline constexpr uint16_t kFlagResponse = 1u << 0;
 inline constexpr uint16_t kFlagError = 1u << 1;
-// Request payload begins with a trace context (see the header comment; only
-// valid after the server advertised kCapTraceContext via STATS v3).
+// Request payload begins with a trace context (see the header comment).
 inline constexpr uint16_t kFlagTraced = 1u << 2;
 
 enum class ErrorCode : uint32_t {
@@ -158,7 +152,7 @@ inline constexpr size_t kTraceContextBytes = 9;
 inline constexpr uint8_t kTraceContextSampled = 1u << 0;
 
 // Key-batch request with kFlagTraced set and the context prefixed to the
-// payload.  Callers must have negotiated kCapTraceContext first.
+// payload.
 void EncodeTracedKeyBatchRequest(Opcode opcode, uint64_t request_id,
                                  const TraceContext& context,
                                  const uint64_t* keys, size_t count,
@@ -210,18 +204,11 @@ struct WireShardStats {
   uint64_t hits = 0;
 };
 
-// Service-wide stats snapshot served by the STATS opcode.  The per-shard
-// vector is the observable proof that socket traffic rides the
-// BatchRouter/shard path (tests and the loadgen assert on it).
-//
-// Versioning (negotiated inside the STATS payloads, independent of the frame
-// header version): a v1 request has an empty payload and gets the original
-// v1 response; a v2-capable client sends a 1-byte payload [0x02] and a
-// v2-capable server answers with payload version 2 — every v1 field, then
-// front_cache_misses and the full metrics-registry snapshot.  Old servers
-// ignore the request payload entirely and answer v1 (which the v2 decoder
-// accepts), old clients never send the marker and keep getting byte-
-// identical v1 responses.
+// Service-wide stats snapshot served by the STATS opcode (request:
+// EncodeEmptyRequest(kStats, ...)).  The per-shard vector is the observable
+// proof that socket traffic rides the BatchRouter/shard path (tests and the
+// loadgen assert on it); `metrics` is the server's full metrics-registry
+// snapshot (empty under PF_OBS=OFF).
 struct WireStats {
   std::string filter_name;
   uint64_t capacity = 0;
@@ -230,46 +217,18 @@ struct WireStats {
   uint64_t keys_inserted = 0;
   uint64_t keys_queried = 0;
   uint64_t insert_failures = 0;
-  uint64_t front_cache_hits = 0;
   std::vector<WireShardStats> shards;
-  // --- v2 fields (zero/empty when decoded from a v1 payload) ----------------
-  uint64_t front_cache_misses = 0;
   std::vector<obs::MetricSample> metrics;
-  // --- v3 fields (zero when decoded from a v1/v2 payload) -------------------
-  // Capability bitmask (kCap*): the negotiation handle for optional protocol
-  // extensions.  A pre-v3 server never sends it, so its absence reads as
-  // "no capabilities" on old servers — exactly the safe default.
-  uint32_t capabilities = 0;
 };
 
-inline constexpr uint8_t kStatsPayloadV1 = 1;
-inline constexpr uint8_t kStatsPayloadV2 = 2;
-inline constexpr uint8_t kStatsPayloadV3 = 3;
-
-// WireStats::capabilities bits.
-inline constexpr uint32_t kCapTraceContext = 1u << 0;  // accepts kFlagTraced
-inline constexpr uint32_t kCapTraces = 1u << 1;        // serves Opcode::kTraces
-
-// STATS request advertising the highest payload version the client decodes
-// (kStatsPayloadV1 encodes the legacy empty payload).
-void EncodeStatsRequest(uint64_t request_id, uint8_t max_version,
-                        std::vector<uint8_t>* out);
-// v1 response: byte-identical to the historical encoding (old clients
-// require remaining() == 0 after the shard array).
+// Payload: str filter_name, u64 capacity, the five u64 service counters in
+// declaration order, u32 shard count + 4 x u64 per shard, then the metrics
+// blob (obs::EncodeMetricSamples).
 void EncodeStatsResponse(uint64_t request_id, const WireStats& stats,
                          std::vector<uint8_t>* out);
-// v2 response: v1 fields + front_cache_misses + stats.metrics.
-void EncodeStatsV2Response(uint64_t request_id, const WireStats& stats,
-                           std::vector<uint8_t>* out);
-// v3 response: v2 fields + u32 capabilities.
-void EncodeStatsV3Response(uint64_t request_id, const WireStats& stats,
-                           std::vector<uint8_t>* out);
-// Accepts payload versions 1, 2, and 3.
+// Validates every count against the bytes present and requires the payload
+// to end exactly after the metrics blob.
 bool DecodeStatsPayload(const uint8_t* payload, size_t len, WireStats* stats);
-// The payload version a STATS *request* asks for (empty payload = v1).  A
-// request advertising a version newer than this build clamps to the newest
-// version the build speaks — how old servers answer future clients.
-uint8_t StatsRequestVersion(const uint8_t* payload, size_t len);
 
 // --- TRACES payload ---------------------------------------------------------
 
@@ -277,9 +236,7 @@ uint8_t StatsRequestVersion(const uint8_t* payload, size_t len);
 inline constexpr uint32_t kMaxWireTraces = 4096;
 
 // Response payload: u32 trace count, then per trace the fixed Trace fields
-// followed by its span list.  Request is EncodeEmptyRequest(kTraces, ...);
-// pre-tracing servers answer kUnsupported, which clients treat as "no
-// traces" rather than an error.
+// followed by its span list.  Request is EncodeEmptyRequest(kTraces, ...).
 void EncodeTracesResponse(uint64_t request_id,
                           const std::vector<obs::Trace>& traces,
                           std::vector<uint8_t>* out);

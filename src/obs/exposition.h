@@ -1,7 +1,7 @@
 // Exposition formats for MetricsRegistry snapshots.
 //
 // Two consumers, one sample model:
-//  * the STATS v2 wire payload carries EncodeMetricSamples bytes inside the
+//  * the STATS wire payload carries EncodeMetricSamples bytes inside the
 //    existing binary protocol (ByteWriter/ByteReader framing, bounds-checked
 //    like every other payload parser in src/net/protocol.cc);
 //  * the HTTP /metrics endpoint renders the same samples as Prometheus text

@@ -1,5 +1,5 @@
 // Low-overhead in-process metrics: counters, gauges, latency histograms,
-// and the process-wide registry behind the STATS v2 / /metrics exposition.
+// and the process-wide registry behind the STATS / /metrics exposition.
 //
 // Design constraints (ROADMAP: production-scale membership service):
 //  * Hot-path updates must be cheap enough to stay always-on — a counter
@@ -129,8 +129,8 @@ struct HistogramSnapshot {
   // Best-effort trace exemplars: the most recent (value, trace id) pair per
   // octave that went through RecordWithExemplar — the jump-off point from a
   // histogram's tail to the /traces timeline that produced it.  NOT part of
-  // the STATS wire encoding (old decoders require the payload to end after
-  // the buckets); the Prometheus text exposition renders them as comments.
+  // the STATS wire encoding; the Prometheus text exposition renders them as
+  // comments.
   struct Exemplar {
     uint64_t value = 0;
     uint64_t trace_id = 0;

@@ -10,9 +10,6 @@ FilterService::FilterService(std::shared_ptr<ShardedFilter> filter,
     : filter_(std::move(filter)),
       num_threads_(options.num_threads),
       max_pending_(std::max<size_t>(1, options.max_pending)),
-      front_cache_(options.front_cache_slots > 0
-                       ? std::make_unique<FrontCache>(options.front_cache_slots)
-                       : nullptr),
       registry_(options.registry != nullptr
                     ? options.registry
                     : &obs::MetricsRegistry::Global()),
@@ -45,8 +42,6 @@ FilterService::FilterService(std::shared_ptr<ShardedFilter> filter,
         counter("service.keys", s.keys_inserted, {{"op", "insert"}});
         counter("service.keys", s.keys_queried, {{"op", "query"}});
         counter("service.insert.failures", s.insert_failures);
-        counter("service.front_cache.hits", s.front_cache_hits);
-        counter("service.front_cache.misses", s.front_cache_misses);
       });
   workers_.reserve(num_threads_);
   for (uint32_t t = 0; t < num_threads_; ++t) {
@@ -165,7 +160,7 @@ void FilterService::QueryBatchSync(const uint64_t* keys, size_t count,
     // Deep layers (ShardedFilter's per-shard probes) pick the trace up via
     // the thread-local; the shard-probe spans land inside the exec span.
     obs::ScopedCurrentTrace current(trace);
-    QueryLocked(keys, count, out);
+    filter_->ContainsBatch(keys, count, out);
   }
   if (trace != nullptr) {
     trace->AddSpan(obs::TraceStage::kExec, exec_start_ns, obs::NowNanos());
@@ -174,75 +169,7 @@ void FilterService::QueryBatchSync(const uint64_t* keys, size_t count,
   keys_queried_.fetch_add(count, std::memory_order_relaxed);
 }
 
-namespace {
-
-// Per-thread scratch for the cached query path (same pattern as
-// ShardedFilter::ThreadLocalRouter): the batch path stays allocation-free
-// after warm-up even with the front cache enabled.
-struct QueryScratch {
-  std::vector<uint64_t> miss_keys;
-  std::vector<size_t> miss_pos;
-  std::vector<uint8_t> miss_out;
-};
-
-QueryScratch& ThreadLocalQueryScratch() {
-  static thread_local QueryScratch scratch;
-  return scratch;
-}
-
-}  // namespace
-
-void FilterService::QueryLocked(const uint64_t* keys, size_t count,
-                                uint8_t* out) {
-  if (front_cache_ == nullptr) {
-    filter_->ContainsBatch(keys, count, out);
-    return;
-  }
-  // Split the batch at the cache: hits are answered immediately (these are
-  // answers the filter itself gave earlier, so observable results are
-  // unchanged), only misses pay the router/shard path.
-  QueryScratch& scratch = ThreadLocalQueryScratch();
-  scratch.miss_keys.clear();
-  scratch.miss_pos.clear();
-  scratch.miss_keys.reserve(count);
-  scratch.miss_pos.reserve(count);
-  uint64_t cache_hits = 0;
-  for (size_t i = 0; i < count; ++i) {
-    if (front_cache_->Lookup(keys[i])) {
-      out[i] = 1;
-      ++cache_hits;
-    } else {
-      scratch.miss_keys.push_back(keys[i]);
-      scratch.miss_pos.push_back(i);
-    }
-  }
-  if (!scratch.miss_keys.empty()) {
-    scratch.miss_out.resize(scratch.miss_keys.size());
-    filter_->ContainsBatch(scratch.miss_keys.data(), scratch.miss_keys.size(),
-                           scratch.miss_out.data());
-    for (size_t m = 0; m < scratch.miss_keys.size(); ++m) {
-      out[scratch.miss_pos[m]] = scratch.miss_out[m];
-      if (scratch.miss_out[m]) front_cache_->Store(scratch.miss_keys[m]);
-    }
-    front_cache_misses_.fetch_add(scratch.miss_keys.size(),
-                                  std::memory_order_relaxed);
-  }
-  if (cache_hits != 0) {
-    front_cache_hits_.fetch_add(cache_hits, std::memory_order_relaxed);
-  }
-}
-
 bool FilterService::Contains(uint64_t key) const {
-  if (front_cache_ != nullptr) {
-    if (front_cache_->Lookup(key)) {
-      front_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-    front_cache_misses_.fetch_add(1, std::memory_order_relaxed);
-    const bool hit = filter_->Contains(key);
-    if (hit) front_cache_->Store(key);
-    return hit;
-  }
   return filter_->Contains(key);
 }
 
@@ -309,8 +236,6 @@ FilterServiceStats FilterService::stats() const {
   s.keys_inserted = keys_inserted_.load(std::memory_order_relaxed);
   s.keys_queried = keys_queried_.load(std::memory_order_relaxed);
   s.insert_failures = insert_failures_.load(std::memory_order_relaxed);
-  s.front_cache_hits = front_cache_hits_.load(std::memory_order_relaxed);
-  s.front_cache_misses = front_cache_misses_.load(std::memory_order_relaxed);
   return s;
 }
 

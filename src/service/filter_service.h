@@ -30,7 +30,6 @@
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/service/front_cache.h"
 #include "src/service/sharded_filter.h"
 #include "src/util/thread_annotations.h"
 
@@ -42,11 +41,6 @@ struct FilterServiceOptions {
   uint32_t num_threads = 4;
   // Bound on queued (not yet executing) requests; submitters block past it.
   size_t max_pending = 4096;
-  // > 0 enables a direct-mapped front cache of recent positive answers with
-  // this many slots (rounded up to a power of two) — see
-  // src/service/front_cache.h.  Absorbs duplicate-heavy traffic without
-  // changing any observable answer.  0 (the default) disables it.
-  size_t front_cache_slots = 0;
   // Metrics registry the service (and its ShardedFilter) instruments into;
   // nullptr = the process-wide obs::MetricsRegistry::Global().  Tests pass a
   // local registry for isolation.
@@ -60,11 +54,6 @@ struct FilterServiceStats {
   uint64_t keys_inserted = 0;
   uint64_t keys_queried = 0;
   uint64_t insert_failures = 0;
-  // Queries answered by the front cache without touching the filter.
-  uint64_t front_cache_hits = 0;
-  // Queries that consulted an enabled front cache and fell through to the
-  // filter (0 when the cache is disabled — hit rate is hits/(hits+misses)).
-  uint64_t front_cache_misses = 0;
 };
 
 class FilterService {
@@ -106,8 +95,7 @@ class FilterService {
   // Synchronous batch entry points for callers that already own a thread
   // (the network event loop hands decoded frames straight here): they bypass
   // the request queue but take the same snapshot shared-lock, update the
-  // same stats, and ride the same BatchRouter/front-cache path as queued
-  // batches.  Safe concurrently with queued traffic.
+  // same stats, and ride the same BatchRouter path as queued batches.  Safe concurrently with queued traffic.
   uint64_t InsertBatchSync(const uint64_t* keys, size_t count);
   // A non-null `trace` receives the exec span and (via CurrentTrace()) the
   // per-shard probe spans recorded while the batch runs.
@@ -115,8 +103,7 @@ class FilterService {
                       obs::ActiveTrace* trace = nullptr);
 
   // Synchronous single-key fast path (bypasses the queue; safe concurrently
-  // with batch traffic — shard locks serialize).  Served from the front
-  // cache when enabled.
+  // with batch traffic — shard locks serialize).
   bool Contains(uint64_t key) const;
 
   // Blocks until every previously submitted batch has completed.
@@ -137,7 +124,6 @@ class FilterService {
 
   const ShardedFilter& filter() const { return *filter_; }
   uint32_t num_threads() const { return num_threads_; }
-  bool front_cache_enabled() const { return front_cache_ != nullptr; }
   FilterServiceStats stats() const;
 
   // Completes queued work and joins the workers.  Idempotent; batches
@@ -174,16 +160,10 @@ class FilterService {
   void Enqueue(Request request) PF_EXCLUDES(mutex_);
   void Execute(Request& request);
   void WorkerLoop() PF_EXCLUDES(mutex_);
-  // Query path shared by Execute and QueryBatchSync: front-cache lookup,
-  // batch the misses through the filter, populate the cache with fresh
-  // positives.  Caller holds the snapshot shared lock.
-  void QueryLocked(const uint64_t* keys, size_t count, uint8_t* out)
-      PF_REQUIRES_SHARED(snapshot_mutex_);
 
   std::shared_ptr<ShardedFilter> filter_;
   uint32_t num_threads_;
   size_t max_pending_;
-  std::unique_ptr<FrontCache> front_cache_;
 
   // Batch execution takes this shared; Snapshot takes it exclusive while
   // serializing.  Direct filter() access bypasses it by design (shard locks
@@ -206,9 +186,6 @@ class FilterService {
   std::atomic<uint64_t> keys_inserted_{0};
   std::atomic<uint64_t> keys_queried_{0};
   std::atomic<uint64_t> insert_failures_{0};
-  // mutable: bumped from the const Contains() fast path.
-  mutable std::atomic<uint64_t> front_cache_hits_{0};
-  mutable std::atomic<uint64_t> front_cache_misses_{0};
 
   // Test-only query fault hook (see SetQueryFaultHookForTesting).  The
   // atomic flag keeps the disabled hot path to one relaxed load; the mutex

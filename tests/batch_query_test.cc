@@ -1,8 +1,8 @@
 // Tests for the prefetching batch-query API, and for the devirtualized
 // AnyFilter batch path: one virtual dispatch per batch must produce answers
 // identical to per-key virtual Contains() on every route a batch can take —
-// the adapter's concrete loop, ShardedFilter's single- and multi-shard
-// routing, and the FilterService front-cache leg.
+// the adapter's concrete loop and ShardedFilter's single- and multi-shard
+// routing.
 #include <algorithm>
 #include <memory>
 #include <string>
@@ -170,48 +170,6 @@ TEST(AnyFilterBatch, ShardedSingleShardMatchesScalar) {
 
 TEST(AnyFilterBatch, ShardedMultiShardMatchesScalar) {
   CheckShardedBatchParity(8);
-}
-
-TEST(AnyFilterBatch, FrontCacheLegPreservesBatchAnswers) {
-  // With the front cache enabled, a duplicate-heavy batch stream must return
-  // exactly the same answers as the cache-less per-key path — the cache may
-  // only short-circuit, never change, an answer.
-  const uint64_t n = 50000;
-  ShardedFilterOptions sharded;
-  sharded.num_shards = 8;
-  sharded.seed = 601;
-  auto inner = ShardedFilter::Make(n, sharded);
-  ASSERT_NE(inner, nullptr);
-  std::shared_ptr<ShardedFilter> shared(inner.release());
-
-  FilterServiceOptions options;
-  options.num_threads = 0;  // synchronous: deterministic stats
-  options.front_cache_slots = 1024;
-  FilterService service(std::move(shared), options);
-
-  const auto keys = RandomKeys(n, 602);
-  EXPECT_EQ(service.InsertBatchSync(keys.data(), keys.size()), 0u);
-
-  // Zipf-ish duplication: a small hot set repeated through the stream.
-  std::vector<uint64_t> stream = RandomKeys(40000, 603);
-  for (size_t i = 0; i < stream.size(); i += 2) {
-    stream[i] = keys[i % 64];  // hot positives, heavily repeated
-  }
-  // Two passes: the first seeds the cache with positive answers (stores
-  // happen after the batch's own hit/miss split, so duplicates within a
-  // single batch never hit), the second must serve the hot set from it.
-  std::vector<uint8_t> cached(stream.size(), 0xcc);
-  for (int pass = 0; pass < 2; ++pass) {
-    std::fill(cached.begin(), cached.end(), 0xcc);
-    service.QueryBatchSync(stream.data(), stream.size(), cached.data());
-    for (size_t i = 0; i < stream.size(); ++i) {
-      ASSERT_EQ(static_cast<bool>(cached[i]),
-                service.filter().Contains(stream[i]))
-          << "pass=" << pass << " i=" << i;
-    }
-  }
-  const FilterServiceStats stats = service.stats();
-  EXPECT_GT(stats.front_cache_hits, 0u) << "stream never hit the cache";
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 
 #include "src/lsm/table.h"
 #include "src/util/random.h"
-#include "src/workload/workload.h"
 
 namespace prefixfilter {
 namespace {
@@ -231,67 +230,6 @@ TEST(FilterService, LsmTableUsesSharedServiceAsGate) {
   for (size_t i = 0; i < stream.size(); ++i) {
     EXPECT_EQ(batch[i], table.Get(stream[i])) << i;
   }
-}
-
-// The front cache (ROADMAP: absorb adversarial-dup hot-set traffic) must be
-// answer-transparent: bit-identical results with and without it, with the
-// hot-set repeats served from the cache instead of the shard path.
-TEST(FilterService, FrontCacheIsAnswerTransparentOnDupHeavyTraffic) {
-  const uint64_t n = 50000;
-  workload::Spec spec;
-  ASSERT_TRUE(workload::FindStandardSpec("adversarial-dup", n,
-                                         /*num_queries=*/200000,
-                                         /*seed=*/0xcafe, &spec));
-  const workload::Stream stream = workload::Generate(spec);
-
-  FilterServiceOptions cached_options;
-  cached_options.num_threads = 0;
-  cached_options.front_cache_slots = 4096;
-  FilterService cached(MakeSharded(n, 210), cached_options);
-  FilterServiceOptions plain_options;
-  plain_options.num_threads = 0;
-  FilterService plain(MakeSharded(n, 210), plain_options);
-  ASSERT_TRUE(cached.front_cache_enabled());
-  ASSERT_FALSE(plain.front_cache_enabled());
-
-  EXPECT_EQ(cached.InsertBatch(stream.insert_keys).get(), 0u);
-  EXPECT_EQ(plain.InsertBatch(stream.insert_keys).get(), 0u);
-
-  // Batched path, in service-sized batches so the cache sees repeats across
-  // batches (within one batch every probe precedes every store).
-  const size_t batch = 4096;
-  for (size_t base = 0; base < stream.queries.size(); base += batch) {
-    const size_t count = std::min(batch, stream.queries.size() - base);
-    std::vector<uint64_t> slice(stream.queries.begin() + base,
-                                stream.queries.begin() + base + count);
-    const auto with_cache = cached.QueryBatch(slice).get();
-    const auto without = plain.QueryBatch(slice).get();
-    ASSERT_EQ(with_cache, without) << "answers diverged at batch " << base;
-    for (size_t i = 0; i < count; ++i) {
-      if (stream.query_expected[base + i]) {
-        ASSERT_EQ(with_cache[i], 1) << "false negative at " << (base + i);
-      }
-    }
-  }
-
-  // 90% of the stream is a 64-key hot set, half of it inserted keys: those
-  // repeats (~45% of the stream) should have come from the cache.
-  const FilterServiceStats stats = cached.stats();
-  EXPECT_GT(stats.front_cache_hits, stream.queries.size() * 2 / 5);
-  EXPECT_EQ(plain.stats().front_cache_hits, 0u);
-
-  // The scalar fast path is cache-served too.
-  const uint64_t hot_key = stream.insert_keys[0];
-  const uint64_t hits_before = cached.stats().front_cache_hits;
-  ASSERT_TRUE(cached.Contains(hot_key));  // populates
-  ASSERT_TRUE(cached.Contains(hot_key));  // served from the cache
-  EXPECT_GT(cached.stats().front_cache_hits, hits_before);
-
-  // The all-ones key doubles as the cache's empty-slot sentinel: an empty
-  // slot must never read as a cached positive for it — the cached service
-  // answers exactly what the filter answers.
-  const uint64_t sentinel = ~uint64_t{0};
-  EXPECT_EQ(cached.Contains(sentinel), plain.Contains(sentinel));
 }
 
 TEST(FilterService, QueryBatchAsyncDeliversCallbackOffTheSubmittingThread) {

@@ -1,8 +1,8 @@
 // Loopback integration tests for the networked membership service:
 // server <-> client over real sockets — inserts, batch queries, FPR sanity,
 // STATS shard counters (the proof that socket traffic rides BatchRouter),
-// pipelined-frame merging, the poll(2) fallback, protocol-error handling,
-// reconnect, and snapshot-over-the-wire.
+// pipelined-frame merging, protocol-error handling, reconnect, and
+// snapshot-over-the-wire.
 #include "src/net/membership_server.h"
 
 #include <arpa/inet.h>
@@ -28,7 +28,7 @@ namespace prefixfilter::net {
 namespace {
 
 std::shared_ptr<FilterService> MakeService(
-    uint64_t capacity, uint32_t shards = 8, size_t front_cache_slots = 0,
+    uint64_t capacity, uint32_t shards = 8,
     obs::MetricsRegistry* registry = nullptr) {
   ShardedFilterOptions options;
   options.num_shards = shards;
@@ -37,7 +37,6 @@ std::shared_ptr<FilterService> MakeService(
   EXPECT_NE(filter, nullptr);
   FilterServiceOptions service_options;
   service_options.num_threads = 0;  // the event loop serves synchronously
-  service_options.front_cache_slots = front_cache_slots;
   service_options.registry = registry;
   return std::make_shared<FilterService>(
       std::shared_ptr<ShardedFilter>(filter.release()), service_options);
@@ -48,22 +47,18 @@ struct Loopback {
   std::unique_ptr<MembershipServer> server;
   ClientOptions client_options;
 
-  explicit Loopback(uint64_t capacity, bool use_epoll = true,
-                    uint32_t shards = 8, size_t front_cache_slots = 0) {
-    service = MakeService(capacity, shards, front_cache_slots);
-    ServerOptions options;
-    options.use_epoll = use_epoll;
-    server = std::make_unique<MembershipServer>(service, options);
+  explicit Loopback(uint64_t capacity) {
+    service = MakeService(capacity);
+    server = std::make_unique<MembershipServer>(service);
     EXPECT_TRUE(server->Start()) << server->error();
     client_options.port = server->port();
   }
 };
 
 // The acceptance-criteria scenario: insert, batch query, FPR sanity, STATS.
-void RunEndToEnd(bool use_epoll) {
+TEST(MembershipServer, EndToEndOverEpoll) {
   const uint64_t n = 50000;
-  Loopback loop(n, use_epoll);
-  EXPECT_STREQ(loop.server->poller_name(), use_epoll ? "epoll" : "poll");
+  Loopback loop(n);
 
   MembershipClient client(loop.client_options);
   ASSERT_TRUE(client.Connect()) << client.error();
@@ -122,10 +117,6 @@ void RunEndToEnd(bool use_epoll) {
   EXPECT_EQ(server_stats.queries_served, probe.size());
   EXPECT_EQ(server_stats.inserts_served, n);
 }
-
-TEST(MembershipServer, EndToEndOverEpoll) { RunEndToEnd(true); }
-
-TEST(MembershipServer, EndToEndOverPollFallback) { RunEndToEnd(false); }
 
 // Blocking raw connection for tests that hand-craft byte streams.
 struct RawConn {
@@ -332,33 +323,6 @@ TEST(MembershipServer, SnapshotOverTheWireRestoresIdenticalService) {
   EXPECT_EQ(over_wire, local);
 }
 
-TEST(MembershipServer, FrontCacheServesRepeatsOverTheWire) {
-  const uint64_t n = 20000;
-  Loopback loop(n, /*use_epoll=*/true, /*shards=*/8,
-                /*front_cache_slots=*/1024);
-  MembershipClient client(loop.client_options);
-  const auto keys = RandomKeys(n, 601);
-  uint64_t failures = 0;
-  ASSERT_TRUE(client.InsertBatch(keys.data(), keys.size(), &failures));
-
-  // Hammer a 16-key hot set, one batch per repeat: the first batch populates
-  // the cache (within a batch the cache is probed before any store), every
-  // later batch is served from it — visible in STATS, identical answers.
-  std::vector<uint64_t> hot(keys.begin(), keys.begin() + 16);
-  constexpr int kReps = 100;
-  for (int rep = 0; rep < kReps; ++rep) {
-    std::vector<uint8_t> answers;
-    ASSERT_TRUE(client.QueryBatch(hot.data(), hot.size(), &answers));
-    for (uint8_t a : answers) EXPECT_EQ(a, 1);
-  }
-
-  WireStats stats;
-  ASSERT_TRUE(client.Stats(&stats));
-  // Only the first touch of each hot key (and direct-mapped slot collisions)
-  // can miss; virtually all of the 1600 queries hit the cache.
-  EXPECT_GT(stats.front_cache_hits, uint64_t{kReps} * hot.size() / 2);
-}
-
 // --- telemetry ---------------------------------------------------------------
 
 // Blocking HTTP exchange against the server's metrics listener: sends the
@@ -393,8 +357,7 @@ double SeriesValue(const std::string& body, const std::string& series) {
 
 TEST(MembershipServer, HttpMetricsExposeCoreSeriesAfterTraffic) {
   obs::MetricsRegistry registry;  // local registry: isolated from other tests
-  auto service = MakeService(20000, /*shards=*/8, /*front_cache_slots=*/1024,
-                             &registry);
+  auto service = MakeService(20000, /*shards=*/8, &registry);
   ServerOptions options;
   options.enable_http = true;
   options.registry = &registry;
@@ -403,7 +366,7 @@ TEST(MembershipServer, HttpMetricsExposeCoreSeriesAfterTraffic) {
   ASSERT_NE(server.http_port(), 0);
 
   // Drive real traffic first so the core series have samples: a bulk insert,
-  // then repeated hot-set queries (front-cache hits AND misses).
+  // then repeated hot-set queries.
   MembershipClient client(ClientOptions{.port = server.port()});
   const auto keys = RandomKeys(20000, 701);
   uint64_t failures = 0;
@@ -430,8 +393,6 @@ TEST(MembershipServer, HttpMetricsExposeCoreSeriesAfterTraffic) {
       SeriesValue(body, "pf_net_server_request_ns_count{op=\"query\"}"), 0);
   // Service-stage series (threaded through the same registry).
   EXPECT_GT(SeriesValue(body, "pf_service_exec_ns_count{op=\"query\"}"), 0);
-  EXPECT_GT(SeriesValue(body, "pf_service_front_cache_hits"), 0);
-  EXPECT_GT(SeriesValue(body, "pf_service_front_cache_misses"), 0);
   // Collector-backed event-loop counters and the connection gauge.
   EXPECT_GT(SeriesValue(body, "pf_net_server_bytes_in"), 0);
   EXPECT_GT(SeriesValue(body, "pf_net_server_keys_inserted"), 0);
@@ -443,10 +404,9 @@ TEST(MembershipServer, HttpMetricsExposeCoreSeriesAfterTraffic) {
             SeriesValue(body, "pf_net_server_request_ns_count{op=\"query\"}"));
 }
 
-TEST(MembershipServer, StatsV2CarriesMetricsAndLegacyStatsStillWorks) {
+TEST(MembershipServer, StatsCarriesCountersShardsAndMetrics) {
   obs::MetricsRegistry registry;
-  auto service = MakeService(10000, /*shards=*/8, /*front_cache_slots=*/256,
-                             &registry);
+  auto service = MakeService(10000, /*shards=*/8, &registry);
   ServerOptions options;
   options.registry = &registry;
   MembershipServer server(service, options);
@@ -458,34 +418,31 @@ TEST(MembershipServer, StatsV2CarriesMetricsAndLegacyStatsStillWorks) {
   ASSERT_TRUE(client.InsertBatch(keys.data(), keys.size(), &failures));
   std::vector<uint8_t> answers;
   ASSERT_TRUE(client.QueryBatch(keys.data(), 512, &answers));
-  ASSERT_TRUE(client.QueryBatch(keys.data(), 512, &answers));  // cache hits
 
-  WireStats v2;
-  ASSERT_TRUE(client.StatsV2(&v2)) << client.error();
-  EXPECT_EQ(v2.keys_inserted, keys.size());
-  // Front-cache counters surface in the wire payload; the second identical
-  // batch guarantees hits, the first guarantees misses.
-  EXPECT_GT(v2.front_cache_hits, 0u);
-  EXPECT_GT(v2.front_cache_misses, 0u);
-  if (obs::kEnabled) {
-    ASSERT_FALSE(v2.metrics.empty());
-    const obs::MetricSample* qhist =
-        obs::FindSample(v2.metrics, "net.server.request.ns", "op", "query");
-    ASSERT_NE(qhist, nullptr);
-    EXPECT_GT(qhist->hist.count, 0u);
-    EXPECT_GT(qhist->hist.Percentile(0.99), 0.0);
-    const obs::MetricSample* inserted =
-        obs::FindSample(v2.metrics, "net.server.keys.inserted");
-    ASSERT_NE(inserted, nullptr);
-    EXPECT_EQ(static_cast<uint64_t>(inserted->value), keys.size());
+  WireStats stats;
+  ASSERT_TRUE(client.Stats(&stats)) << client.error();
+  EXPECT_EQ(stats.filter_name, "SHARD8[PF[TC]]");
+  EXPECT_EQ(stats.keys_inserted, keys.size());
+  EXPECT_EQ(stats.keys_queried, 512u);
+  ASSERT_EQ(stats.shards.size(), 8u);
+  uint64_t shard_queries = 0;
+  for (const WireShardStats& s : stats.shards) shard_queries += s.queries;
+  EXPECT_EQ(shard_queries, 512u);
+  if (!obs::kEnabled) {
+    // PF_OBS=OFF: the same schema, counters only, the metrics blob empty.
+    EXPECT_TRUE(stats.metrics.empty());
+    return;
   }
-
-  // The legacy empty-payload STATS request still round-trips against a v2
-  // server (old clients keep working); its reply carries no metrics blob.
-  WireStats v1;
-  ASSERT_TRUE(client.Stats(&v1)) << client.error();
-  EXPECT_EQ(v1.keys_inserted, keys.size());
-  EXPECT_TRUE(v1.metrics.empty());
+  ASSERT_FALSE(stats.metrics.empty());
+  const obs::MetricSample* qhist =
+      obs::FindSample(stats.metrics, "net.server.request.ns", "op", "query");
+  ASSERT_NE(qhist, nullptr);
+  EXPECT_GT(qhist->hist.count, 0u);
+  EXPECT_GT(qhist->hist.Percentile(0.99), 0.0);
+  const obs::MetricSample* inserted =
+      obs::FindSample(stats.metrics, "net.server.keys.inserted");
+  ASSERT_NE(inserted, nullptr);
+  EXPECT_EQ(static_cast<uint64_t>(inserted->value), keys.size());
 }
 
 TEST(MembershipServer, HttpUnknownPathAndMethodDrawErrorStatuses) {
@@ -556,8 +513,7 @@ std::shared_ptr<FilterService> MakeThreadedService(
 
 TEST(MembershipServer, MultiLoopReuseportSpreadsConnectionsAcrossLoops) {
   obs::MetricsRegistry registry;
-  auto service = MakeService(20000, /*shards=*/8, /*front_cache_slots=*/0,
-                             &registry);
+  auto service = MakeService(20000, /*shards=*/8, &registry);
   ServerOptions options;
   options.num_loops = 4;
   options.registry = &registry;
@@ -1002,7 +958,7 @@ TEST(MembershipServer, SlowRequestsAreTailCapturedWithoutHeadSampling) {
   EXPECT_TRUE(stalled_seen) << "retained traces do not include the stall";
 }
 
-TEST(MembershipClient, NegotiatesTraceCapabilityAndPropagatesContext) {
+TEST(MembershipClient, SampledClientTracesItsFirstQueryFrameDirectly) {
   auto service = MakeService(20000);
   ServerOptions options;
   options.trace_sample_rate = 0.0;  // server does no head sampling of its own
@@ -1014,32 +970,25 @@ TEST(MembershipClient, NegotiatesTraceCapabilityAndPropagatesContext) {
   client_options.trace_sample_rate = 1.0;  // client marks every query frame
   MembershipClient client(client_options);
 
-  // STATS v3 advertises the tracing capabilities (none under PF_OBS=OFF —
-  // exactly what tells the client to degrade to plain frames).
-  WireStats stats;
-  ASSERT_TRUE(client.StatsV3(&stats)) << client.error();
-  const uint32_t expected =
-      obs::kEnabled ? (kCapTraceContext | kCapTraces) : 0u;
-  EXPECT_EQ(stats.capabilities, expected);
-
-  const auto keys = RandomKeys(1024, 981);
-  uint64_t failures = 0;
-  ASSERT_TRUE(client.InsertBatch(keys.data(), keys.size(), &failures));
+  // The first RPC is a query: the trace context rides that frame itself, so
+  // exactly one frame reaches the wire — no STATS or other exchange first.
+  const auto keys = RandomKeys(128, 981);
   std::vector<uint8_t> answers;
-  ASSERT_TRUE(client.QueryBatch(keys.data(), 128, &answers));
-  ASSERT_EQ(answers.size(), 128u);
-  for (uint8_t a : answers) EXPECT_EQ(a, 1);
+  ASSERT_TRUE(client.QueryBatch(keys.data(), keys.size(), &answers))
+      << client.error();
+  ASSERT_EQ(answers.size(), keys.size());
+  EXPECT_EQ(client.frames_sent(), 1u);
+  EXPECT_EQ(client.frames_traced(), 1u);
 
   std::vector<obs::Trace> traces;
   ASSERT_TRUE(client.Traces(&traces)) << client.error();
   if (!obs::kEnabled) {
-    EXPECT_EQ(client.frames_traced(), 0u);  // degraded: no traced frames sent
+    // PF_OBS=OFF: the server strips the context and records nothing.
     EXPECT_TRUE(traces.empty());
     return;
   }
-  // The client stamped the frame, and the server — its own sampling off —
-  // honored the propagated context and retained the trace as sampled.
-  EXPECT_GT(client.frames_traced(), 0u);
+  // The server — its own sampling off — honored the propagated context and
+  // retained the trace as sampled.
   bool sampled_query = false;
   for (const obs::Trace& t : traces) {
     if (t.opcode == static_cast<uint8_t>(Opcode::kQueryBatch) && t.sampled()) {

@@ -5,6 +5,9 @@
 #include "src/net/protocol.h"
 
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -119,11 +122,24 @@ TEST(Protocol, StatsPayloadRoundTripsAndRejectsEveryTruncation) {
   stats.keys_inserted = 30;
   stats.keys_queried = 40;
   stats.insert_failures = 1;
-  stats.front_cache_hits = 5;
   for (int s = 0; s < 16; ++s) {
     stats.shards.push_back(WireShardStats{
         uint64_t(s), uint64_t(s + 1), uint64_t(s + 2), uint64_t(s + 3)});
   }
+  obs::MetricSample counter;
+  counter.name = "net.server.frames.in";
+  counter.kind = obs::MetricKind::kCounter;
+  counter.value = 99;
+  obs::MetricSample hist;
+  hist.name = "net.server.request.ns";
+  hist.labels = {{"op", "query"}};
+  hist.kind = obs::MetricKind::kHistogram;
+  hist.hist.count = 3;
+  hist.hist.sum = 300;
+  hist.hist.min = 90;
+  hist.hist.max = 110;
+  hist.hist.buckets = {{40, 2}, {41, 1}};
+  stats.metrics = {counter, hist};
   std::vector<uint8_t> bytes;
   EncodeStatsResponse(77, stats, &bytes);
 
@@ -135,9 +151,19 @@ TEST(Protocol, StatsPayloadRoundTripsAndRejectsEveryTruncation) {
                                  frames[0].payload.size(), &decoded));
   EXPECT_EQ(decoded.filter_name, stats.filter_name);
   EXPECT_EQ(decoded.capacity, stats.capacity);
-  EXPECT_EQ(decoded.front_cache_hits, stats.front_cache_hits);
+  EXPECT_EQ(decoded.insert_batches, stats.insert_batches);
+  EXPECT_EQ(decoded.query_batches, stats.query_batches);
+  EXPECT_EQ(decoded.keys_inserted, stats.keys_inserted);
+  EXPECT_EQ(decoded.keys_queried, stats.keys_queried);
+  EXPECT_EQ(decoded.insert_failures, stats.insert_failures);
   ASSERT_EQ(decoded.shards.size(), stats.shards.size());
   EXPECT_EQ(decoded.shards[9].queries, stats.shards[9].queries);
+  ASSERT_EQ(decoded.metrics.size(), 2u);
+  EXPECT_EQ(decoded.metrics[0].name, counter.name);
+  EXPECT_EQ(decoded.metrics[0].value, 99);
+  EXPECT_EQ(decoded.metrics[1].labels, hist.labels);
+  EXPECT_EQ(decoded.metrics[1].hist.count, 3u);
+  EXPECT_EQ(decoded.metrics[1].hist.buckets, hist.hist.buckets);
 
   // Every strict prefix of the payload must be rejected, not crash or
   // partially succeed.
@@ -186,6 +212,7 @@ TEST(Protocol, DecoderRejectsBadMagicVersionLengthChecksum) {
   const Case cases[] = {
       {0, 0xFF, DecodeStatus::kBadMagic},     // magic byte
       {4, 99, DecodeStatus::kBadVersion},     // version byte
+      {4, 1, DecodeStatus::kBadVersion},      // a version-1 peer
       {19, 0xFF, DecodeStatus::kBadLength},   // payload_len high byte
       {21, 0xFF, DecodeStatus::kBadChecksum}, // checksum byte
       {30, 0xFF, DecodeStatus::kBadChecksum}, // payload byte
@@ -326,8 +353,7 @@ TEST(Protocol, TracedKeyBatchRoundTripsAndPlainEncodingIsUnchanged) {
   EXPECT_FALSE(DecodeTraceContext(frames[0].payload.data(),
                                   kTraceContextBytes - 1, &decoded));
 
-  // Backward compatibility: the untraced encoder's bytes are unchanged by
-  // this feature — byte-identical to what pre-tracing builds emitted.
+  // The untraced encoder carries neither the flag nor the prefix.
   std::vector<uint8_t> plain;
   EncodeKeyBatchRequest(Opcode::kQueryBatch, 11, keys.data(), keys.size(),
                         &plain);
@@ -338,52 +364,6 @@ TEST(Protocol, TracedKeyBatchRoundTripsAndPlainEncodingIsUnchanged) {
   EXPECT_EQ(plain_frames[0].flags & kFlagTraced, 0);
   EXPECT_EQ(plain_frames[0].payload.size(),
             frames[0].payload.size() - kTraceContextBytes);
-}
-
-TEST(Protocol, StatsV3CarriesCapabilitiesAndRejectsTruncations) {
-  WireStats stats;
-  stats.filter_name = "PF[TC]";
-  stats.capacity = 1024;
-  stats.front_cache_misses = 7;
-  stats.capabilities = kCapTraceContext | kCapTraces;
-  std::vector<uint8_t> bytes;
-  EncodeStatsV3Response(21, stats, &bytes);
-
-  DecodeStatus status;
-  const std::vector<Frame> frames = DecodeAll(bytes, bytes.size(), &status);
-  ASSERT_EQ(frames.size(), 1u);
-  WireStats decoded;
-  ASSERT_TRUE(DecodeStatsPayload(frames[0].payload.data(),
-                                 frames[0].payload.size(), &decoded));
-  EXPECT_EQ(decoded.capabilities, kCapTraceContext | kCapTraces);
-  EXPECT_EQ(decoded.front_cache_misses, 7u);
-
-  // v2 and v1 payloads decode with zero capabilities (the safe default).
-  std::vector<uint8_t> v2;
-  EncodeStatsV2Response(22, stats, &v2);
-  const std::vector<Frame> v2_frames = DecodeAll(v2, v2.size(), &status);
-  ASSERT_EQ(v2_frames.size(), 1u);
-  WireStats v2_decoded;
-  ASSERT_TRUE(DecodeStatsPayload(v2_frames[0].payload.data(),
-                                 v2_frames[0].payload.size(), &v2_decoded));
-  EXPECT_EQ(v2_decoded.capabilities, 0u);
-
-  // Version negotiation: the request encodes the max version it decodes.
-  std::vector<uint8_t> req;
-  EncodeStatsRequest(23, kStatsPayloadV3, &req);
-  const std::vector<Frame> req_frames = DecodeAll(req, req.size(), &status);
-  ASSERT_EQ(req_frames.size(), 1u);
-  EXPECT_EQ(StatsRequestVersion(req_frames[0].payload.data(),
-                                req_frames[0].payload.size()),
-            kStatsPayloadV3);
-  EXPECT_EQ(StatsRequestVersion(nullptr, 0), kStatsPayloadV1);
-
-  // Every strict prefix of the v3 payload is rejected.
-  const std::vector<uint8_t>& payload = frames[0].payload;
-  for (size_t len = 0; len < payload.size(); ++len) {
-    WireStats sink;
-    EXPECT_FALSE(DecodeStatsPayload(payload.data(), len, &sink)) << len;
-  }
 }
 
 TEST(Protocol, TracesPayloadRoundTripsAndRejectsTruncations) {
@@ -438,6 +418,32 @@ TEST(Protocol, TracesPayloadRoundTripsAndRejectsTruncations) {
   extended.push_back(0);
   std::vector<obs::Trace> sink;
   EXPECT_FALSE(DecodeTracesPayload(extended.data(), extended.size(), &sink));
+}
+
+// The committed frame_decoder corpus must stay in step with the wire format:
+// after a header version bump every well-formed seed (the generated ones and
+// the recorded live_* frames) must still decode, or the fuzzer would start
+// from seeds the decoder rejects at the header.
+TEST(Protocol, CommittedFrameCorpusDecodesUnderTheCurrentVersion) {
+  const std::filesystem::path dir =
+      std::filesystem::path(PF_SOURCE_DIR) / "fuzz/corpus/frame_decoder";
+  ASSERT_TRUE(std::filesystem::is_directory(dir)) << dir;
+  size_t replayed = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("bad_", 0) == 0 || name.rfind("truncated", 0) == 0) {
+      continue;  // deliberately malformed seeds
+    }
+    std::ifstream in(entry.path(), std::ios::binary);
+    const std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                                     std::istreambuf_iterator<char>());
+    FrameDecoder decoder;
+    decoder.Feed(bytes.data(), bytes.size());
+    Frame frame;
+    EXPECT_EQ(decoder.Next(&frame), DecodeStatus::kFrame) << name;
+    ++replayed;
+  }
+  EXPECT_GE(replayed, 10u);
 }
 
 }  // namespace
