@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
   const auto [be_pos_secs, be_pos_found] = bench::TimeQueries(be, positives);
   bench::KeepAlive(pf_neg_found + be_neg_found + pf_pos_found + be_pos_found);
 
-  // Batched negative queries on the PF (prefetch across the chunk).
+  // Batched negative queries on the PF (the rolling prefetch pipeline).
   std::vector<uint8_t> out(negatives.size());
   bench::Timer batch_timer;
   pf.ContainsBatch(negatives.data(), negatives.size(), out.data());

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "src/util/aligned.h"
+#include "src/util/batch_pipeline.h"
 #include "src/util/bits.h"
 #include "src/util/hash.h"
 #include "src/util/serialize.h"
@@ -83,6 +84,12 @@ class BlockedBloomFilter {
                                              BlockPtr(blocks[i])) ? 1 : 0;
       }
     }
+  }
+
+  // Prefetches the line Contains(key) will read: the key's block.  The prefix
+  // filter calls this on a spare-bound key well before it resolves it.
+  void Prefetch(uint64_t key) const {
+    PrefetchLine(BlockPtr(BlockIndex(hash_(key))));
   }
 
   // Portable-kernel twins for the kernel differential harness: identical

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "src/util/aligned.h"
+#include "src/util/batch_pipeline.h"
 #include "src/util/bits.h"
 #include "src/util/hash.h"
 #include "src/util/random.h"
@@ -106,6 +107,16 @@ class CuckooFilter {
     if (BucketContains(i2, tag)) return true;
     return has_victim_ && victim_tag_ == tag &&
            (victim_index_ == i1 || victim_index_ == i2);
+  }
+
+  // Prefetches the lines Contains(key) may read: both candidate buckets.  The
+  // prefix filter calls this on a spare-bound key well before it resolves
+  // it.
+  void Prefetch(uint64_t key) const {
+    const uint64_t h = hash_(key);
+    const uint64_t i1 = IndexHash(h);
+    PrefetchBucket(i1);
+    PrefetchBucket(AltIndex(i1, TagHash(h)));
   }
 
   uint64_t size() const { return size_; }
@@ -210,11 +221,20 @@ class CuckooFilter {
     return (v - kLaneLsb) & ~v & kLaneMsb;
   }
 
+  const uint8_t* BucketAddress(uint64_t bucket) const {
+    return bytes_.data() + bucket * (kTagsPerBucket * kTagBits / 8);
+  }
+
   uint64_t BucketWord(uint64_t bucket) const {
     uint64_t word;
-    std::memcpy(&word, bytes_.data() + bucket * (kTagsPerBucket * kTagBits / 8),
-                8);
+    std::memcpy(&word, BucketAddress(bucket), 8);
     return word;
+  }
+
+  // BucketWord's 8-byte load can straddle a line boundary: touch both ends.
+  void PrefetchBucket(uint64_t bucket) const {
+    PrefetchLine(BucketAddress(bucket));
+    PrefetchLine(BucketAddress(bucket) + 7);
   }
 
   uint32_t GetTag(uint64_t bucket, int slot) const {

@@ -25,6 +25,7 @@
 
 #include "src/pd/pd512.h"
 #include "src/util/aligned.h"
+#include "src/util/batch_pipeline.h"
 #include "src/util/hash.h"
 #include "src/util/serialize.h"
 
@@ -74,6 +75,19 @@ class TwoChoicer {
     uint8_t r;
     Fingerprint(h, &b1, &b2, &q, &r);
     return bins_[b1].Find(q, r) || bins_[b2].Find(q, r);
+  }
+
+  // Prefetches the lines Contains(key) may read: both candidate bins.  The
+  // prefix filter calls this on a spare-bound key well before it resolves
+  // it, so the two misses overlap instead of following one another.
+  void Prefetch(uint64_t key) const {
+    const uint64_t h = hash_(key);
+    uint64_t b1, b2;
+    int q;
+    uint8_t r;
+    Fingerprint(h, &b1, &b2, &q, &r);
+    PrefetchLine(&bins_[b1]);
+    PrefetchLine(&bins_[b2]);
   }
 
   uint64_t size() const { return size_; }

@@ -4,6 +4,12 @@
 // bin array to be laid out so no PD straddles a cache-line boundary: PD256s
 // are packed two per 64-byte line, PD512s one per line.  AlignedBuffer
 // provides zero-initialized, 64-byte-aligned arrays for that purpose.
+//
+// Tables of 2 MiB or more are 2 MiB-aligned and request transparent huge
+// pages (madvise(MADV_HUGEPAGE)) before they are first touched.  A probe of
+// a large table is a random access, and with 4 KiB pages nearly every one
+// is a TLB miss on top of the cache miss.  If the kernel declines, the
+// buffer simply stays on base pages.
 #ifndef PREFIXFILTER_SRC_UTIL_ALIGNED_H_
 #define PREFIXFILTER_SRC_UTIL_ALIGNED_H_
 
@@ -13,21 +19,32 @@
 #include <new>
 #include <utility>
 
+#include <sys/mman.h>
+
 namespace prefixfilter {
 
 inline constexpr size_t kCacheLineBytes = 64;
+inline constexpr size_t kHugePageBytes = size_t{2} << 20;
 
-// A fixed-size, 64-byte-aligned, zero-initialized array of trivially
-// constructible elements.  Move-only.
+// A fixed-size, zero-initialized array of trivially constructible elements:
+// 64-byte-aligned, or 2 MiB-aligned on huge pages from kHugePageBytes up.
+// Move-only.
 template <typename T>
 class AlignedBuffer {
  public:
   AlignedBuffer() : data_(nullptr), size_(0) {}
 
   explicit AlignedBuffer(size_t size) : size_(size) {
-    const size_t bytes = RoundUp(size * sizeof(T), kCacheLineBytes);
-    data_ = static_cast<T*>(std::aligned_alloc(kCacheLineBytes, bytes));
-    if (data_ == nullptr) throw std::bad_alloc();
+    const size_t bytes = SizeBytes();
+    const bool huge = bytes >= kHugePageBytes;
+    // posix_memalign, unlike aligned_alloc, takes sizes that are not a
+    // multiple of the alignment, so no tail is allocated past SizeBytes().
+    const size_t alignment = huge ? kHugePageBytes : kCacheLineBytes;
+    void* p = nullptr;
+    if (posix_memalign(&p, alignment, bytes) != 0) throw std::bad_alloc();
+    data_ = static_cast<T*>(p);
+    // Before the zeroing below, so its first touch faults in huge pages.
+    if (huge) (void)madvise(data_, bytes, MADV_HUGEPAGE);
     std::memset(static_cast<void*>(data_), 0, bytes);
   }
 

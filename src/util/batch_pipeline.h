@@ -1,0 +1,60 @@
+// The rolling prefetch pipeline of the prefix filter's batched probe, and the
+// prefetch primitive its spares use.
+//
+// A filter probe on a table larger than the cache is one random DRAM access;
+// the batch path exists to overlap those accesses.  The pipeline keeps a
+// fixed window of kBatchPrefetchDistance keys in flight: while key i is
+// resolved, key i + D is hashed and its line prefetched, so by the time a
+// key is resolved its line has had D resolutions' worth of time to arrive.
+// (A prefetch-a-chunk-then-resolve-it loop instead waits on a full miss at
+// the start of every chunk.  BlockedBloomFilter and FastMultiBlock keep that
+// chunk-16 loop: their resolve step is a few ns, and on cache-resident
+// tables this pipeline cost them 7-39% of batch throughput, although it
+// gained ~60% on a ~130 MB table.)
+#ifndef PREFIXFILTER_SRC_UTIL_BATCH_PIPELINE_H_
+#define PREFIXFILTER_SRC_UTIL_BATCH_PIPELINE_H_
+
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+
+namespace prefixfilter {
+
+// Keys in flight ahead of the one being resolved.  Picked by a sweep over
+// 16/32/64 on a ~190 MB table; a power of two so the ring index is a mask.
+inline constexpr size_t kBatchPrefetchDistance = 32;
+
+// Read prefetch into every cache level.  (The low-temporal-locality hint
+// measured ~7% slower on a ~190 MB table.)
+inline void PrefetchLine(const void* p) { __builtin_prefetch(p, 0, 3); }
+
+// Runs keys[0..count) through the pipeline.  hash(key) -> uint64_t is called
+// once per key, ahead of time; prefetch(h) prefetches the lines resolve
+// will read; resolve(i, h) answers key i from its hash.  resolve is called
+// in index order.
+template <typename Hash, typename Prefetch, typename Resolve>
+inline void RunPrefetchPipeline(const uint64_t* keys, size_t count,
+                                const Hash& hash, const Prefetch& prefetch,
+                                const Resolve& resolve) {
+  constexpr size_t kDistance = kBatchPrefetchDistance;
+  static_assert((kDistance & (kDistance - 1)) == 0, "power of two");
+  uint64_t ring[kDistance];
+  const size_t head = std::min(kDistance, count);
+  for (size_t i = 0; i < head; ++i) {
+    ring[i] = hash(keys[i]);
+    prefetch(ring[i]);
+  }
+  size_t i = 0;
+  for (; i + kDistance < count; ++i) {
+    uint64_t& slot = ring[i & (kDistance - 1)];
+    const uint64_t h = slot;
+    slot = hash(keys[i + kDistance]);
+    prefetch(slot);
+    resolve(i, h);
+  }
+  for (; i < count; ++i) resolve(i, ring[i & (kDistance - 1)]);
+}
+
+}  // namespace prefixfilter
+
+#endif  // PREFIXFILTER_SRC_UTIL_BATCH_PIPELINE_H_

@@ -15,6 +15,7 @@
 #include "src/core/spare.h"
 #include "src/service/filter_service.h"
 #include "src/service/sharded_filter.h"
+#include "src/util/batch_pipeline.h"
 #include "src/util/random.h"
 
 namespace prefixfilter {
@@ -66,6 +67,82 @@ TEST(BatchQuery, NoFalseNegativesAtFullLoad) {
   for (size_t i = 0; i < keys.size(); ++i) ASSERT_TRUE(out[i]);
 }
 
+// --- PrefixFilter batch pipeline vs. the scalar loop, on every spare -------
+//
+// Filters are loaded to capacity, past bin overflow, so a few percent of
+// queries go to the spare and exercise the prefetched spare probe.  Answers
+// and stats() totals must equal those of a Contains() loop.
+
+template <typename Spare>
+class PrefixFilterBatchParity : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kKeys = 20000;
+  PrefixFilterBatchParity() : filter_(kKeys), keys_(RandomKeys(kKeys, 211)) {
+    for (uint64_t k : keys_) EXPECT_TRUE(filter_.Insert(k));
+    EXPECT_GT(filter_.stats().spare_inserts, 0u);
+  }
+
+  // Checks batch == scalar on keys[0..count), answers and query counters.
+  void ExpectBatchMatchesScalar(const std::vector<uint64_t>& keys,
+                                size_t count) {
+    std::vector<uint8_t> out(count + 1, 0xcc);
+    filter_.ResetQueryStats();
+    filter_.ContainsBatch(keys.data(), count, out.data());
+    const PrefixFilterStats batch_stats = filter_.stats();
+    filter_.ResetQueryStats();
+    for (size_t i = 0; i < count; ++i) {
+      ASSERT_EQ(out[i], filter_.Contains(keys[i]) ? 1 : 0)
+          << filter_.Name() << " count=" << count << " i=" << i;
+    }
+    EXPECT_EQ(out[count], 0xcc) << "wrote past the end";
+    EXPECT_EQ(batch_stats.queries, filter_.stats().queries);
+    EXPECT_EQ(batch_stats.spare_queries, filter_.stats().spare_queries);
+  }
+
+  PrefixFilter<Spare> filter_;
+  std::vector<uint64_t> keys_;
+};
+
+using SpareTypes =
+    ::testing::Types<SpareTcTraits, SpareBbfTraits, SpareCf12Traits>;
+TYPED_TEST_SUITE(PrefixFilterBatchParity, SpareTypes);
+
+TYPED_TEST(PrefixFilterBatchParity, MixedStreamAtEveryBatchSize) {
+  // Half positives, half (almost surely) negatives.
+  std::vector<uint64_t> stream = RandomKeys(4096, 212);
+  for (size_t i = 0; i < stream.size(); i += 2) {
+    stream[i] = this->keys_[i % TestFixture::kKeys];
+  }
+  constexpr size_t kD = kBatchPrefetchDistance;
+  for (size_t count :
+       {size_t{0}, size_t{1}, kD - 1, kD, kD + 1, stream.size()}) {
+    this->ExpectBatchMatchesScalar(stream, count);
+  }
+  // The full-stream batch sent keys to the spare.
+  EXPECT_GT(this->filter_.stats().spare_queries, 0u);
+}
+
+TYPED_TEST(PrefixFilterBatchParity, AllSpareBoundBatchMatchesScalar) {
+  // Collect keys the scalar path sends to the spare (positives and
+  // negatives), more than the prefetch distance, so spare probes run
+  // back to back while the pipeline is full.
+  const size_t wanted = 2 * kBatchPrefetchDistance + 5;
+  std::vector<uint64_t> candidates = RandomKeys(TestFixture::kKeys, 213);
+  for (size_t i = 0; i < candidates.size(); i += 2) {
+    candidates[i] = this->keys_[i];
+  }
+  std::vector<uint64_t> spare_bound;
+  for (uint64_t k : candidates) {
+    const uint64_t before = this->filter_.stats().spare_queries;
+    this->filter_.Contains(k);
+    if (this->filter_.stats().spare_queries != before) spare_bound.push_back(k);
+    if (spare_bound.size() == wanted) break;
+  }
+  ASSERT_EQ(spare_bound.size(), wanted);
+  this->ExpectBatchMatchesScalar(spare_bound, spare_bound.size());
+  EXPECT_EQ(this->filter_.stats().spare_queries, wanted);
+}
+
 // --- Devirtualized AnyFilter batch path ------------------------------------
 //
 // FilterAdapter::ContainsBatch dispatches once per batch and then runs a
@@ -76,7 +153,8 @@ TEST(BatchQuery, NoFalseNegativesAtFullLoad) {
 
 // Builds a filter via the factory, inserts `n` keys, and checks batch ==
 // per-key parity on a mixed positive/negative stream for several batch
-// sizes, including sizes that straddle the 16-key prefetch chunk.
+// sizes, below and above both the Bloom backends' 16-key prefetch chunk and
+// the prefix filter's prefetch distance.
 void CheckAnyFilterBatchParity(const std::string& name, uint64_t n,
                                uint64_t seed) {
   auto filter = MakeFilter(name, n, seed);

@@ -27,6 +27,8 @@
 #include <gtest/gtest.h>
 
 #include "src/core/filter_factory.h"
+#include "src/core/prefix_filter.h"
+#include "src/core/spare.h"
 #include "src/filters/blocked_bloom.h"
 #include "src/filters/fast_multiblock.h"
 #include "src/net/protocol.h"
@@ -380,6 +382,44 @@ TEST(KernelGoldenDigest, SerializedBytesAndAnswerStreamMatchGolden) {
         << golden.name << ": actual digest 0x" << std::hex << digest
         << " — serialized bytes or answer stream changed across builds";
   }
+}
+
+// The prefix filter's batch path, pinned the same way: PF[TC] loaded past
+// bin overflow (so spare probes occur), its snapshot bytes, and the
+// ContainsBatch answer stream at every batch size.  A rewrite of the batch
+// pipeline must reproduce this digest unchanged.
+constexpr uint64_t kPrefixFilterTcGoldenDigest = 0xbe6e68fbb1706904ull;
+
+TEST(KernelGoldenDigest, PrefixFilterTcSnapshotAndBatchAnswersMatchGolden) {
+  constexpr uint64_t kCapacity = 10000;
+  PrefixFilter<SpareTcTraits> filter(kCapacity);
+  Xoshiro256 keys_rng(3), probe_rng(4);
+  std::vector<uint64_t> keys(kCapacity);
+  for (auto& k : keys) {
+    k = keys_rng.Next();
+    ASSERT_TRUE(filter.Insert(k));
+  }
+  ASSERT_GT(filter.stats().spare_inserts, 0u);
+  std::vector<uint8_t> image;
+  filter.SerializeTo(&image);
+  uint64_t digest = Fnv1a(image.data(), image.size(), 1469598103934665603ull);
+
+  std::vector<uint64_t> probes(20000);
+  for (size_t i = 0; i < probes.size(); ++i) {
+    probes[i] = (i % 2 == 0) ? keys[(i / 2) % keys.size()] : probe_rng.Next();
+  }
+  std::vector<uint8_t> out(probes.size());
+  for (const size_t batch : kBatchSizes) {
+    std::fill(out.begin(), out.end(), 0xee);
+    for (size_t base = 0; base < probes.size(); base += batch) {
+      const size_t n = std::min(batch, probes.size() - base);
+      filter.ContainsBatch(probes.data() + base, n, out.data() + base);
+    }
+    digest = Fnv1a(out.data(), out.size(), digest);
+  }
+  EXPECT_EQ(digest, kPrefixFilterTcGoldenDigest)
+      << "PF[TC]: actual digest 0x" << std::hex << digest
+      << " — snapshot bytes or batch answer stream changed";
 }
 
 // --- wire CRC-32: kernel parity and golden values ---------------------------
