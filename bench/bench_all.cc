@@ -11,8 +11,7 @@
 //
 // Usage:
 //   bench_all [--quick] [--n-log2=L] [--seed=S] [--out=BENCH.json]
-//             [--filters=A,B,...] [--workloads=a,b,...] [--all-filters]
-//             [--concrete]
+//             [--filters=A,B,...] [--workloads=a,b,...] [--concrete]
 //
 // --quick is the CI smoke scale (n = 0.94 * 2^16); compare runs against
 // bench/baseline.json with bench_compare.  Filters run through AnyFilter, so
@@ -49,18 +48,13 @@ using prefixfilter::MakeFilter;
 
 // The default sweep: the paper's main contenders plus the sharded service
 // configuration.  (KnownFilterNames() has 16+ entries; this is the curated
-// subset the baseline pins so the smoke job stays fast.)  QF is demoted
-// behind --all-filters until its rank/select query acceleration lands: its
-// query throughput collapses to ~1.3 Mops/s at full load (ROADMAP), which
-// the CI bench-smoke job should not pay for on every PR.
+// subset the baseline pins so the smoke job stays fast.)
 const char* kDefaultFilters[] = {
     "BF-12",        "BBF-Flex",      "FMB32",   "FMB64",
     "CF-8",         "CF-12-Flex",    "TC",
     "PF[BBF-Flex]", "PF[CF12-Flex]",
     "PF[TC]",       "SHARD16[PF[TC]]",
 };
-
-const char* kDemotedFilters[] = {"QF"};
 
 // Accumulated best-of-repeats state for one (filter x workload) cell.
 //
@@ -255,7 +249,7 @@ int RunConcreteSweep(const std::vector<std::string>& filters,
                      const std::vector<workload::Spec>& suite,
                      const bench::Options& options, int repeats,
                      bench::BenchRunner* runner) {
-  // Respect the filter selection (--filters / --all-filters): sweep the
+  // Respect the filter selection (--filters): sweep the
   // intersection with the concrete registry, and say which selected names
   // have no concrete construction instead of silently ignoring them.
   std::vector<ConcreteEntry> registry;
@@ -376,7 +370,6 @@ int main(int argc, char** argv) {
                                    std::end(kDefaultFilters));
   std::vector<std::string> workload_names;
   std::string out_path;
-  bool all_filters = false;
   bool concrete = false;
   std::vector<char*> passthrough = {argv[0]};
   for (int i = 1; i < argc; ++i) {
@@ -387,31 +380,20 @@ int main(int argc, char** argv) {
       workload_names = bench::SplitCsv(arg.substr(12));
     } else if (arg.rfind("--out=", 0) == 0) {
       out_path = arg.substr(6);
-    } else if (arg == "--all-filters") {
-      all_filters = true;
     } else if (arg == "--concrete") {
       concrete = true;
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: bench_all [--quick] [--n-log2=L] [--seed=S]\n"
           "                 [--out=BENCH.json] [--filters=A,B,...]\n"
-          "                 [--workloads=a,b,...] [--all-filters]\n"
-          "                 [--concrete]\n"
+          "                 [--workloads=a,b,...] [--concrete]\n"
           "workloads: uniform-negative mixed-50-50 zipf-positive\n"
           "           adversarial-dup disjoint-negative (default: all,\n"
           "           plus the interleaved mixed-rw-25i stream)\n"
-          "--all-filters: include the demoted configurations (QF)\n"
           "--concrete: dispatch-tax sweep through concrete filter types\n");
       return 0;
     } else {
       passthrough.push_back(argv[i]);
-    }
-  }
-  if (all_filters) {
-    for (const char* demoted : kDemotedFilters) {
-      bool present = false;
-      for (const auto& f : filters) present |= f == demoted;
-      if (!present) filters.push_back(demoted);
     }
   }
   bench::Options options = bench::ParseOptions(

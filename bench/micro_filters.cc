@@ -11,7 +11,6 @@
 #include "src/filters/blocked_bloom.h"
 #include "src/filters/bloom.h"
 #include "src/filters/cuckoo.h"
-#include "src/filters/quotient.h"
 #include "src/filters/twochoicer.h"
 #include "src/util/random.h"
 #include "src/workload/workload.h"
@@ -80,7 +79,6 @@ NEGATIVE_BENCH(TC, TwoChoicer(kN, 99));
 NEGATIVE_BENCH(BBF, BlockedBloomFilter::MakeNonFlexible(kN, 99));
 NEGATIVE_BENCH(BBFFlex, BlockedBloomFilter::MakeFlexible(kN, 10.67, 99));
 NEGATIVE_BENCH(BF12, BloomFilter(kN, 12.0, 8, 99));
-NEGATIVE_BENCH(QF, QuotientFilter(kN, 99));
 
 POSITIVE_BENCH(PF_TC, PrefixFilter<SpareTcTraits>(kN, PfOptions()));
 POSITIVE_BENCH(CF12, CuckooFilter12(kN, false, 99));

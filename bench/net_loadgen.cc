@@ -253,11 +253,10 @@ int main(int argc, char** argv) {
       return 1;
     }
     client_options.port = server->port();
-    std::printf("net_loadgen: self-hosted %s on 127.0.0.1:%u (%u loop%s%s)\n",
+    std::printf("net_loadgen: self-hosted %s on 127.0.0.1:%u (%u loop%s)\n",
                 config.filter.c_str(), client_options.port,
                 server->num_loops(),
-                server->num_loops() == 1 ? "" : "s",
-                server->reuseport_active() ? ", reuseport" : "");
+                server->num_loops() == 1 ? "" : "s");
   } else {
     const size_t colon = config.connect.rfind(':');
     if (colon == std::string::npos) {
@@ -605,14 +604,11 @@ int main(int argc, char** argv) {
       prefixfilter::json::Value metrics =
           bench::PhaseMetrics(sweep_stats, "query");
       metrics.Set("loops", static_cast<uint64_t>(sweep_server.num_loops()));
-      metrics.Set("reuseport",
-                  static_cast<uint64_t>(sweep_server.reuseport_active()));
       metrics.Set("connections", static_cast<uint64_t>(threads));
       metrics.Set("speedup_vs_1loop", speedup);
       std::printf("  loops=%-2u          %8.2f Mops/s  p50 %7.0f ns/op  "
-                  "speedup %.2fx%s\n",
-                  loops, sweep_stats.Mops(), sweep_stats.ns_p50, speedup,
-                  sweep_server.reuseport_active() ? "  (reuseport)" : "");
+                  "speedup %.2fx\n",
+                  loops, sweep_stats.Mops(), sweep_stats.ns_p50, speedup);
       runner.Add(before.filter_name,
                  "net-scaling,loops=" + std::to_string(loops),
                  std::move(metrics));

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
       "CF-8",        "CF-8-Flex",     "CF-12",  "CF-12-Flex", "CF-16",
       "CF-16-Flex",  "PF[BBF-Flex]",  "PF[CF12-Flex]", "PF[TC]",
       "BBF",         "BBF-Flex",      "BF-8",   "BF-12",      "BF-16",
-      "TC",          "QF"};
+      "TC"};
 
   std::printf("== Table 3: false positive rate and space use ==\n");
   std::printf("n = 0.94 * 2^%d = %llu keys\n\n", options.n_log2,

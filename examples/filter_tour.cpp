@@ -9,7 +9,6 @@
 #include <cstdlib>
 
 #include "src/core/filter_factory.h"
-#include "src/filters/xor.h"
 #include "src/util/random.h"
 
 int main(int argc, char** argv) {
@@ -42,23 +41,6 @@ int main(int argc, char** argv) {
                 100.0 * static_cast<double>(fp) / static_cast<double>(n),
                 static_cast<double>(n) / secs / 1e6,
                 failures ? "insert failures!" : "");
-  }
-
-  // The static comparison point: an xor filter needs the whole key set up
-  // front (no incremental inserts), in exchange for ~9.9 bits/key at 0.39%.
-  {
-    const auto start = std::chrono::steady_clock::now();
-    prefixfilter::XorFilter8 xor8(keys, /*seed=*/5);
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    uint64_t fp = 0;
-    for (uint64_t k : probes) fp += xor8.Contains(k);
-    std::printf("%-14s | %9.2f | %9.4f | %11.1f | %s\n", xor8.Name().c_str(),
-                8.0 * xor8.SpaceBytes() / static_cast<double>(n),
-                100.0 * static_cast<double>(fp) / static_cast<double>(n),
-                static_cast<double>(n) / secs / 1e6,
-                "static (bulk build)");
   }
 
   std::printf(

@@ -79,11 +79,10 @@ int Serve(const std::string& filter_name, uint64_t capacity, uint16_t port,
     return 1;
   }
   std::printf("membership_server: %s (capacity %" PRIu64
-              ", %u shards, %u loop%s%s) listening on 127.0.0.1:%u\n",
+              ", %u shards, %u loop%s) listening on 127.0.0.1:%u\n",
               filter_name.c_str(), capacity, service->filter().num_shards(),
               server.num_loops(),
               server.num_loops() == 1 ? "" : "s",
-              server.reuseport_active() ? ", reuseport" : "",
               server.port());
   if (enable_http) {
     std::printf("membership_server: metrics on "

@@ -8,7 +8,6 @@
 #include "src/filters/bloom.h"
 #include "src/filters/fast_multiblock.h"
 #include "src/filters/cuckoo.h"
-#include "src/filters/quotient.h"
 #include "src/filters/twochoicer.h"
 // Deliberate .cc-level reach into src/service/ for the SHARD<n>[...] names:
 // the headers stay acyclic (service includes core, never the reverse), and
@@ -131,7 +130,6 @@ std::unique_ptr<AnyFilter> MakeFilter(const std::string& raw_name,
     return Wrap(CuckooFilter16(capacity, true, seed), name);
   }
   if (name == "TC") return Wrap(TwoChoicer(capacity, seed), name);
-  if (name == "QF") return Wrap(QuotientFilter(capacity, seed), name);
   if (name == "PF[BBF-Flex]") {
     return Wrap(PrefixFilter<SpareBbfTraits>(capacity, pf_options), name);
   }
@@ -154,8 +152,7 @@ std::vector<std::string> KnownFilterNames() {
   return {"CF-8",  "CF-8-Flex",  "CF-12",    "CF-12-Flex",    "CF-16",
           "CF-16-Flex", "PF[BBF-Flex]", "PF[CF12-Flex]", "PF[TC]",
           "BBF",   "BBF-Flex",   "FMB32",    "FMB64",         "BF-8",
-          "BF-12", "BF-16",      "TC",       "QF",
-          "SHARD16[PF[TC]]"};
+          "BF-12", "BF-16",      "TC",       "SHARD16[PF[TC]]"};
 }
 
 void WriteFilterEnvelope(const std::string& factory_name,
@@ -196,7 +193,6 @@ std::unique_ptr<AnyFilter> DeserializeFilter(const uint8_t* data, size_t len) {
     return Rewrap<CuckooFilter16>(payload, payload_len, name);
   }
   if (name == "TC") return Rewrap<TwoChoicer>(payload, payload_len, name);
-  if (name == "QF") return Rewrap<QuotientFilter>(payload, payload_len, name);
   if (name == "PF[BBF-Flex]") {
     return Rewrap<PrefixFilter<SpareBbfTraits>>(payload, payload_len, name);
   }

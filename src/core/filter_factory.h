@@ -90,7 +90,7 @@ class AnyFilter {
 //                  "FMB32", "FMB64" (fast_multiblock SIMD kernels)
 //   Cuckoo family: "CF-8", "CF-8-Flex", "CF-12", "CF-12-Flex", "CF-16",
 //                  "CF-16-Flex"
-//   Others:        "TC", "QF"
+//   Others:        "TC"
 //   Prefix filter: "PF[BBF-Flex]", "PF[CF12-Flex]", "PF[TC]"
 //   Sharded:       "SHARD<n>[<inner>]" for any power-of-two n <= 4096 and
 //                  accepted non-sharded inner name, e.g. "SHARD16[PF[TC]]"

@@ -128,7 +128,7 @@ MembershipServer::MembershipServer(std::shared_ptr<FilterService> service,
         counter("net.server.traces.slow", trace_stats.slow);
         counter("net.server.traces.dropped", trace_stats.dropped);
         // Per-loop balance: one labeled series per event loop, so /metrics
-        // shows whether SO_REUSEPORT (or the fallback) spreads the load.
+        // shows how evenly SO_REUSEPORT spreads the load.
         for (size_t i = 0; i < loop_traffic_.size(); ++i) {
           const LoopTraffic& t = *loop_traffic_[i];
           const obs::MetricsRegistry::Labels labels = {
@@ -162,8 +162,7 @@ namespace {
 // Opens a non-blocking listening socket on addr:port; returns -1 and fills
 // *error on failure, else the fd with *bound_port resolved (port 0 cases).
 // `reuseport` additionally requests SO_REUSEPORT (the kernel then balances
-// accepts across every socket bound to the same addr:port); its failure is
-// reported like any other so the caller can fall back.
+// accepts across every socket bound to the same addr:port).
 int OpenListener(const std::string& address, uint16_t port, int backlog,
                  bool reuseport, uint16_t* bound_port, std::string* error) {
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
@@ -173,19 +172,11 @@ int OpenListener(const std::string& address, uint16_t port, int backlog,
   }
   int one = 1;
   setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (reuseport) {
-#ifdef SO_REUSEPORT
-    if (setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
-      *error = std::string("setsockopt(SO_REUSEPORT): ") +
-               std::strerror(errno);
-      ::close(fd);
-      return -1;
-    }
-#else
-    *error = "SO_REUSEPORT unavailable on this platform";
+  if (reuseport &&
+      setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
+    *error = std::string("setsockopt(SO_REUSEPORT): ") + std::strerror(errno);
     ::close(fd);
     return -1;
-#endif
   }
 
   sockaddr_in addr{};
@@ -244,51 +235,20 @@ bool MembershipServer::Start() {
     loops_.push_back(std::move(loop));
   }
 
-  // Listeners.  Multi-loop prefers one SO_REUSEPORT socket per loop so the
-  // kernel balances accepts with zero shared state; any reuseport failure
-  // degrades the whole server to one shared listener accepted under a
-  // mutex.  A single loop always binds a plain listener — SO_REUSEPORT on
-  // it would let a second server bind the same port silently, and tests
-  // (and operators) rely on that clash reporting EADDRINUSE.
-  reuseport_active_ = false;
-  if (num_loops > 1 && options_.use_reuseport) {
-    const int first = OpenListener(options_.bind_address, options_.port,
-                                   options_.backlog, /*reuseport=*/true,
-                                   &port_, &error_);
-    if (first >= 0) {
-      loops_[0]->listen_fd = first;
-      loops_[0]->owns_listen_fd = true;
-      reuseport_active_ = true;
-      for (uint32_t i = 1; i < num_loops && reuseport_active_; ++i) {
-        uint16_t bound = 0;
-        const int sibling =
-            OpenListener(options_.bind_address, port_, options_.backlog,
-                         /*reuseport=*/true, &bound, &error_);
-        if (sibling < 0) {
-          // Surprising (the first reuseport bind worked) but recoverable:
-          // release every sibling and take the shared-accept path.
-          for (uint32_t j = 0; j < i; ++j) {
-            ::close(loops_[j]->listen_fd);
-            loops_[j]->listen_fd = -1;
-            loops_[j]->owns_listen_fd = false;
-          }
-          reuseport_active_ = false;
-        } else {
-          loops_[i]->listen_fd = sibling;
-          loops_[i]->owns_listen_fd = true;
-        }
-      }
-    }
+  // Listeners.  Multi-loop binds one SO_REUSEPORT socket per loop, so the
+  // kernel balances accepts with zero shared state; any bind failure fails
+  // Start() (Stop() closes the listeners that did bind).  A single loop
+  // binds a plain listener: SO_REUSEPORT on it would let a second server
+  // bind the same port silently, and tests (and operators) rely on that
+  // clash reporting EADDRINUSE.
+  const bool reuseport = num_loops > 1;
+  for (uint32_t i = 0; i < num_loops; ++i) {
+    // Loop 0 resolves port 0; its siblings bind the port it got.
+    loops_[i]->listen_fd =
+        OpenListener(options_.bind_address, i == 0 ? options_.port : port_,
+                     options_.backlog, reuseport, &port_, &error_);
+    if (loops_[i]->listen_fd < 0) return false;
   }
-  if (!reuseport_active_) {
-    const int fd = OpenListener(options_.bind_address, options_.port,
-                                options_.backlog, /*reuseport=*/false, &port_,
-                                &error_);
-    if (fd < 0) return false;
-    for (auto& loop : loops_) loop->listen_fd = fd;
-    loops_[0]->owns_listen_fd = true;  // exactly one close in Stop()
-  }
-  error_.clear();
 
   if (options_.enable_http) {
     loops_[0]->http_listen_fd =
@@ -358,11 +318,8 @@ void MembershipServer::Stop() {
                                 std::memory_order_relaxed);
     loop->connections.clear();
     loop->fd_by_conn_id.clear();
-    if (loop->owns_listen_fd && loop->listen_fd >= 0) ::close(loop->listen_fd);
-    loop->listen_fd = -1;
-    loop->owns_listen_fd = false;
-    for (int* fd :
-         {&loop->http_listen_fd, &loop->wake_read_fd, &loop->wake_write_fd}) {
+    for (int* fd : {&loop->listen_fd, &loop->http_listen_fd,
+                    &loop->wake_read_fd, &loop->wake_write_fd}) {
       if (*fd >= 0) ::close(*fd);
       *fd = -1;
     }
@@ -482,21 +439,9 @@ void MembershipServer::LoopRun(Loop& loop) {
 }
 
 void MembershipServer::AcceptAll(Loop& loop, int listen_fd, bool is_http) {
-  // Shared-accept fallback: every loop polls the same listening socket, so
-  // accepts serialize on a mutex (accept4 itself is thread-safe; the mutex
-  // keeps the accept burst on one loop instead of splitting a level-
-  // triggered wakeup into N racing slow paths).
-  const bool shared = !loop.owns_listen_fd && loops_.size() > 1 && !is_http;
   for (;;) {
-    int fd = -1;
-    if (shared) {
-      MutexLock lock(accept_mutex_);
-      fd = ::accept4(listen_fd, nullptr, nullptr,
-                     SOCK_NONBLOCK | SOCK_CLOEXEC);
-    } else {
-      fd = ::accept4(listen_fd, nullptr, nullptr,
-                     SOCK_NONBLOCK | SOCK_CLOEXEC);
-    }
+    const int fd =
+        ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR || errno == ECONNABORTED) continue;
       if (errno != EAGAIN && errno != EWOULDBLOCK) {

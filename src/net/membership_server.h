@@ -1,16 +1,14 @@
 // Networked membership service: a TCP front-end over FilterService.
 //
-// Scale-out is two layers deep (ROADMAP item 1):
+// Scale-out is two layers deep:
 //
 // Loop-per-core: ServerOptions::num_loops spawns N independent event-loop
-// threads, each with its own epoll Poller and — where SO_REUSEPORT is
-// available — its own listening socket bound to the same address, so the
-// kernel balances incoming connections across loops with no shared accept
-// state.  Where SO_REUSEPORT is unavailable (or
-// disabled via ServerOptions::use_reuseport), every loop polls one shared
-// listening socket and accepts under a shared mutex.  A connection is owned
-// by exactly one loop for its whole life; per-loop traffic counters surface
-// in the metrics registry labeled loop=<i> so /metrics shows the balance.
+// threads, each with its own epoll Poller and its own SO_REUSEPORT listening
+// socket bound to the same address, so the kernel balances incoming
+// connections across loops with no shared accept state.  A connection is
+// owned by exactly one loop for its whole life; per-loop traffic counters
+// surface in the metrics registry labeled loop=<i> so /metrics shows the
+// balance.
 //
 // Decode/filter decoupling: each loop is batch-first — all complete frames
 // buffered on a connection are decoded in one pass, and runs of consecutive
@@ -67,13 +65,9 @@ struct ServerOptions {
   int backlog = 128;
   // Event-loop threads.  Each loop owns a Poller and a slice of the
   // connections; >1 binds one SO_REUSEPORT listener per loop (kernel-
-  // balanced accept) where available, else falls back to shared-mutex
-  // accept on one socket.  Clamped to >= 1.
+  // balanced accept), and Start() fails if any of them cannot bind.  A
+  // single loop binds a plain listener.  Clamped to >= 1.
   uint32_t num_loops = 1;
-  // false forces the shared-accept fallback even where SO_REUSEPORT exists
-  // (tests exercise the fallback deterministically).  Irrelevant when
-  // num_loops == 1, which always uses a single plain listener.
-  bool use_reuseport = true;
   // Offload merged QUERY_BATCH batches to the FilterService worker pool
   // (see file header).  Only effective when the service has worker threads;
   // a synchronous service always serves inline on the loop thread.
@@ -164,9 +158,6 @@ class MembershipServer {
   const std::string& error() const { return error_; }
   // Loops actually running (options.num_loops clamped), valid after Start().
   uint32_t num_loops() const { return static_cast<uint32_t>(loops_.size()); }
-  // True when every loop owns its own SO_REUSEPORT listener; false on the
-  // shared-accept fallback (always false for a single loop).
-  bool reuseport_active() const { return reuseport_active_; }
 
   ServerStats stats() const;
 
@@ -237,8 +228,7 @@ class MembershipServer {
     std::unordered_map<int, Connection> connections;
     std::unordered_map<uint64_t, int> fd_by_conn_id;
     int listen_fd = -1;
-    bool owns_listen_fd = false;  // reuseport: own socket; fallback: shared
-    int http_listen_fd = -1;      // loop 0 only
+    int http_listen_fd = -1;  // loop 0 only
     int wake_read_fd = -1;
     int wake_write_fd = -1;
     std::thread thread;
@@ -309,8 +299,6 @@ class MembershipServer {
   bool offload_enabled_ = false;  // resolved in Start()
   std::vector<std::unique_ptr<Loop>> loops_;
   std::vector<std::unique_ptr<LoopTraffic>> loop_traffic_;
-  bool reuseport_active_ = false;
-  Mutex accept_mutex_;  // shared-accept fallback only
   uint16_t port_ = 0;
   uint16_t http_port_ = 0;
   std::string error_;

@@ -3,6 +3,8 @@
 // must reproduce a filter with identical answers, and damaged envelopes must
 // be rejected rather than crash or mis-dispatch.
 #include <algorithm>
+#include <filesystem>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -116,6 +118,31 @@ TEST(FactorySerialize, FastMultiBlockConfigsAreRegistered) {
   }
 }
 
+// The committed deserialize_filter seed corpus must track the registry:
+// fuzz/make_seed_corpus.cc writes one seed per KnownFilterNames() entry
+// (with '[', ']' and '-' spelled '_') plus two envelope-error seeds, so a
+// seed left behind by a deleted configuration, or a name with no seed,
+// shows up here.
+TEST(FactorySerialize, SeedCorpusMatchesKnownFilterNames) {
+  const std::filesystem::path dir =
+      std::filesystem::path(PF_SOURCE_DIR) / "fuzz/corpus/deserialize_filter";
+  ASSERT_TRUE(std::filesystem::is_directory(dir)) << dir;
+  std::set<std::string> expected = {"bad_magic.bin", "truncated.bin"};
+  for (std::string name : KnownFilterNames()) {
+    for (char& c : name) {
+      if (c == '[' || c == ']' || c == '-') c = '_';
+    }
+    expected.insert(name + ".bin");
+  }
+  std::set<std::string> committed;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".bin") {
+      committed.insert(entry.path().filename().string());
+    }
+  }
+  EXPECT_EQ(committed, expected);
+}
+
 // A tampered block count must fail the pre-allocation geometry check
 // (advertised num_blocks vs actual payload bytes), not malloc a bogus table.
 TEST(FactorySerialize, FastMultiBlockGeometryMismatchRejected) {
@@ -172,34 +199,6 @@ TEST(FactorySerialize, RetaggedEnvelopeNameIsRejected) {
     retagged.insert(retagged.end(), bytes.begin() + envelope, bytes.end());
     EXPECT_EQ(DeserializeFilter(retagged.data(), retagged.size()), nullptr)
         << built << " retagged as " << retag;
-  }
-}
-
-TEST(FactorySerialize, CorruptedQuotientSlotTableTerminates) {
-  // Regression: a QF snapshot whose slot metadata violates the cluster
-  // invariants (e.g. every slot shifted/continuation) used to hang
-  // FindRunStart's ring walk forever.  The walks are budgeted now: queries
-  // and inserts on such a filter may answer garbage but must terminate.
-  auto filter = MakeFilter("QF", 5000, 25);
-  ASSERT_NE(filter, nullptr);
-  const auto keys = RandomKeys(2000, 216);
-  for (uint64_t k : keys) filter->Insert(k);
-  std::vector<uint8_t> bytes;
-  ASSERT_TRUE(filter->SerializeTo(&bytes));
-
-  // Envelope (magic+ver+name) + QF header (magic+ver+cap+seed+size) precede
-  // the slot table; saturate every payload byte past the headers.
-  const size_t header = 4 + 1 + 4 + 2 /*"QF"*/ + 4 + 1 + 8 + 8 + 8;
-  ASSERT_LT(header, bytes.size());
-  for (size_t i = header; i < bytes.size(); ++i) bytes[i] = 0xff;
-  auto corrupted = DeserializeFilter(bytes.data(), bytes.size());
-  if (corrupted != nullptr) {
-    for (uint64_t k : RandomKeys(1000, 217)) {
-      corrupted->Contains(k);  // must return, value unspecified
-    }
-    for (uint64_t k : RandomKeys(100, 218)) {
-      corrupted->Insert(k);  // must return, not ring-walk forever
-    }
   }
 }
 
