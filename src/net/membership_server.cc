@@ -32,6 +32,15 @@ void SetNoDelay(int fd) {
   setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
+// Serve-pass scratch keeps the capacity ordinary passes need; a rare huge
+// frame or merged batch hands its buffer back rather than pinning it for the
+// loop's lifetime.
+template <typename T>
+void TrimScratch(std::vector<T>* v) {
+  constexpr size_t kScratchKeepBytes = 1u << 20;
+  if (v->capacity() * sizeof(T) > kScratchKeepBytes) *v = std::vector<T>();
+}
+
 }  // namespace
 
 WireStats CollectWireStats(const FilterService& service) {
@@ -80,8 +89,6 @@ MembershipServer::MembershipServer(std::shared_ptr<FilterService> service,
       completions_depth_hist_(
           registry_->GetHistogram("net.loop.completions.depth")),
       trace_sink_(options_.trace_capacity) {
-  offload_enabled_ = service_ != nullptr && service_->num_threads() > 0 &&
-                     options_.offload_queries;
   // Map the sampling rate onto the full u64 PRNG range once; the hot path
   // then decides with one compare.  rate >= 1 must not round through the
   // double->u64 cast (2^64 is not representable), so it clamps explicitly.
@@ -518,15 +525,16 @@ bool MembershipServer::ServeConnection(Loop& loop, Connection& conn) {
   pass.read_end_ns = obs::NowNanos();
 
   // Decode every complete frame buffered so far.  Runs of consecutive
-  // QUERY_BATCH frames accumulate into `pending` and execute as ONE merged
-  // batch, so a pipelining client's keys reach BatchRouter together and the
-  // counting-sort shard grouping spans the whole pipeline window.
-  std::vector<uint64_t> pending_keys;
-  std::vector<std::pair<uint64_t, uint32_t>> pending_queries;
+  // QUERY_BATCH frames accumulate into the loop's pending batch and execute
+  // as ONE merged batch, so a pipelining client's keys reach BatchRouter
+  // together and the counting-sort shard grouping spans the whole pipeline
+  // window.  A pass that ended early (protocol error) may have left keys
+  // behind; they belong to a dropped connection.
+  loop.pending_keys.clear();
+  loop.pending_queries.clear();
   std::shared_ptr<obs::ActiveTrace> pending_trace;
-  Frame frame;
   for (;;) {
-    if (offload_enabled_ && conn.inflight >= inflight_cap) {
+    if (conn.inflight >= inflight_cap) {
       // Backpressure: the connection is at its offload cap.  Stop decoding
       // (complete frames stay buffered in the decoder, unread bytes stay in
       // the kernel buffer → TCP pushback) and drop read interest until
@@ -538,7 +546,7 @@ bool MembershipServer::ServeConnection(Loop& loop, Connection& conn) {
       }
       break;
     }
-    const DecodeStatus status = conn.decoder.Next(&frame);
+    const DecodeStatus status = conn.decoder.Next(&loop.frame);
     if (status == DecodeStatus::kNeedMore) break;
     if (status != DecodeStatus::kFrame) {
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
@@ -547,11 +555,13 @@ bool MembershipServer::ServeConnection(Loop& loop, Connection& conn) {
     }
     frames_received_.fetch_add(1, std::memory_order_relaxed);
     loop_traffic_[loop.index]->frames.fetch_add(1, std::memory_order_relaxed);
-    HandleFrame(loop, conn, frame, &pending_keys, &pending_queries,
-                &pending_trace, pass);
+    HandleFrame(loop, conn, &pending_trace, pass);
   }
-  FlushQueries(loop, conn, &pending_keys, &pending_queries, &pending_trace,
-               pass);
+  FlushQueries(loop, conn, &pending_trace, pass);
+  TrimScratch(&loop.frame.payload);
+  TrimScratch(&loop.pending_keys);
+  TrimScratch(&loop.pending_queries);
+  TrimScratch(&loop.results);
   if (peer_closed) conn.peer_closed = true;
   // FlushOutbox owns the whole close-on-EOF rule: it returns false once a
   // half-closed connection drains its outbox AND its in-flight batches, and
@@ -643,14 +653,11 @@ bool MembershipServer::ServeHttpConnection(Loop& loop, Connection& conn) {
 }
 
 void MembershipServer::HandleFrame(
-    Loop& loop, Connection& conn, Frame& frame,
-    std::vector<uint64_t>* pending_keys,
-    std::vector<std::pair<uint64_t, uint32_t>>* pending_queries,
-    std::shared_ptr<obs::ActiveTrace>* pending_trace,
-    const ServePass& pass) {
+    Loop& loop, Connection& conn,
+    std::shared_ptr<obs::ActiveTrace>* pending_trace, const ServePass& pass) {
+  const Frame& frame = loop.frame;
   if (frame.is_response() || !IsKnownOpcode(frame.opcode)) {
-    FlushQueries(loop, conn, pending_keys, pending_queries, pending_trace,
-                 pass);
+    FlushQueries(loop, conn, pending_trace, pass);
     EncodeErrorResponse(static_cast<Opcode>(frame.opcode), frame.request_id,
                         ErrorCode::kUnsupported,
                         frame.is_response() ? "unexpected response flag"
@@ -670,8 +677,7 @@ void MembershipServer::HandleFrame(
   bool client_traced = false;
   if ((frame.flags & kFlagTraced) != 0) {
     if (!DecodeTraceContext(payload, payload_len, &wire_context)) {
-      FlushQueries(loop, conn, pending_keys, pending_queries, pending_trace,
-                   pass);
+      FlushQueries(loop, conn, pending_trace, pass);
       EncodeErrorResponse(opcode, frame.request_id, ErrorCode::kBadRequest,
                           "malformed trace context", &conn.outbox);
       frames_sent_.fetch_add(1, std::memory_order_relaxed);
@@ -685,20 +691,20 @@ void MembershipServer::HandleFrame(
   if (opcode == Opcode::kQueryBatch) {
     // Appends straight onto the merged batch: no per-frame allocation on
     // the hottest path.
-    const size_t before = pending_keys->size();
-    if (!AppendKeyBatchPayload(payload, payload_len, pending_keys)) {
-      FlushQueries(loop, conn, pending_keys, pending_queries, pending_trace,
-                   pass);
+    std::vector<uint64_t>& pending_keys = loop.pending_keys;
+    const size_t before = pending_keys.size();
+    if (!AppendKeyBatchPayload(payload, payload_len, &pending_keys)) {
+      FlushQueries(loop, conn, pending_trace, pass);
       EncodeErrorResponse(opcode, frame.request_id, ErrorCode::kBadRequest,
                           "malformed key batch", &conn.outbox);
       frames_sent_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    if (!pending_queries->empty()) {
+    if (!loop.pending_queries.empty()) {
       query_frames_merged_.fetch_add(1, std::memory_order_relaxed);
     }
-    pending_queries->emplace_back(
-        frame.request_id, static_cast<uint32_t>(pending_keys->size() - before));
+    loop.pending_queries.emplace_back(
+        frame.request_id, static_cast<uint32_t>(pending_keys.size() - before));
     // Trace admission, once per merged batch: client propagation (the
     // sampled bit in the wire context), head sampling (loop PRNG), or the
     // armed tail-capture path (records everything, retains only what turns
@@ -733,11 +739,10 @@ void MembershipServer::HandleFrame(
   }
 
   // Every other opcode still flushes the accumulated queries first so a
-  // merged batch never straddles it; with offload enabled the flush only
-  // SUBMITS the batch, so this barrier response can reach the wire before
-  // the query responses do — clients correlate by request id (see
-  // protocol.h).
-  FlushQueries(loop, conn, pending_keys, pending_queries, pending_trace, pass);
+  // merged batch never straddles it; when the batch is offloaded the flush
+  // only SUBMITS it, so this barrier response can reach the wire before the
+  // query responses do — clients correlate by request id (see protocol.h).
+  FlushQueries(loop, conn, pending_trace, pass);
   frames_sent_.fetch_add(1, std::memory_order_relaxed);
   switch (opcode) {
     case Opcode::kInsertBatch: {
@@ -794,14 +799,14 @@ void MembershipServer::HandleFrame(
 }
 
 void MembershipServer::FlushQueries(
-    Loop& loop, Connection& conn, std::vector<uint64_t>* pending_keys,
-    std::vector<std::pair<uint64_t, uint32_t>>* pending,
-    std::shared_ptr<obs::ActiveTrace>* pending_trace,
-    const ServePass& pass) {
-  if (pending->empty()) return;
-  merge_frames_hist_->Record(pending->size());
-  queries_served_.fetch_add(pending_keys->size(), std::memory_order_relaxed);
-  loop_traffic_[loop.index]->keys.fetch_add(pending_keys->size(),
+    Loop& loop, Connection& conn,
+    std::shared_ptr<obs::ActiveTrace>* pending_trace, const ServePass& pass) {
+  std::vector<uint64_t>& keys = loop.pending_keys;
+  std::vector<std::pair<uint64_t, uint32_t>>& pending = loop.pending_queries;
+  if (pending.empty()) return;
+  merge_frames_hist_->Record(pending.size());
+  queries_served_.fetch_add(keys.size(), std::memory_order_relaxed);
+  loop_traffic_[loop.index]->keys.fetch_add(keys.size(),
                                             std::memory_order_relaxed);
 
   // The batch is sealed: close the read, decode (and merge) windows.  The
@@ -810,20 +815,25 @@ void MembershipServer::FlushQueries(
   std::shared_ptr<obs::ActiveTrace> batch_trace = std::move(*pending_trace);
   if (batch_trace != nullptr) {
     obs::Trace& t = batch_trace->t;
-    t.key_count = static_cast<uint32_t>(pending_keys->size());
-    t.frames = static_cast<uint32_t>(pending->size());
+    t.key_count = static_cast<uint32_t>(keys.size());
+    t.frames = static_cast<uint32_t>(pending.size());
     const uint64_t sealed_ns = obs::NowNanos();
     batch_trace->AddSpan(obs::TraceStage::kRead, pass.start_ns,
                          pass.read_end_ns);
     batch_trace->AddSpan(obs::TraceStage::kDecode, pass.read_end_ns,
                          sealed_ns);
-    if (pending->size() > 1) {
+    if (pending.size() > 1) {
       batch_trace->AddSpan(obs::TraceStage::kMerge, pass.read_end_ns,
-                           sealed_ns, pending->size());
+                           sealed_ns, pending.size());
     }
   }
 
-  if (offload_enabled_) {
+  // The one placement rule (see file header): small batches on a connection
+  // with nothing in flight run inline, everything else goes to the pool.
+  // "Nothing in flight" keeps a non-pipelining client's answers in request
+  // order.
+  if (service_->num_threads() > 0 &&
+      (keys.size() >= kInlineQueryMaxKeys || conn.inflight > 0)) {
     // Decode/filter decoupling: hand the merged batch to the FilterService
     // worker pool and keep the loop decoding.  The completion callback runs
     // on the worker thread — it only queues the result and tickles the
@@ -834,13 +844,13 @@ void MembershipServer::FlushQueries(
     comp.conn_id = conn.id;
     comp.seq = conn.next_seq++;
     conn.inflight_seqs.push_back(comp.seq);
-    comp.requests = std::move(*pending);
+    comp.requests = std::move(pending);
     comp.submit_ns = obs::NowNanos();
     comp.trace = batch_trace;
     Loop* owner = &loop;  // stable: loops_ holds unique_ptrs for our life
     const int wake_fd = loop.wake_write_fd;
     service_->QueryBatchAsync(
-        std::move(*pending_keys),
+        std::move(keys),
         [owner, wake_fd,
          comp = std::move(comp)](std::vector<uint8_t> results) mutable {
           comp.results = std::move(results);
@@ -857,23 +867,23 @@ void MembershipServer::FlushQueries(
           (void)!::write(wake_fd, &byte, 1);
         },
         std::move(batch_trace));
-    pending_keys->clear();
-    pending->clear();
+    keys.clear();
+    pending.clear();
     return;
   }
 
-  // Synchronous path (no worker pool): execute on the loop thread and emit
-  // one response per original frame, in request order.  One latency sample
-  // per merged batch: the whole decode-to-encode window every frame in the
-  // pipeline run shares.
+  // Inline: execute on the loop thread and emit one response per original
+  // frame, in request order.  One latency sample per merged batch: the whole
+  // decode-to-encode window every frame in the pipeline run shares.
   const uint64_t sync_start_ns = obs::NowNanos();
-  std::vector<uint8_t> results(pending_keys->size());
-  service_->QueryBatchSync(pending_keys->data(), pending_keys->size(),
-                           results.data(), batch_trace.get());
-  frames_sent_.fetch_add(pending->size(), std::memory_order_relaxed);
+  std::vector<uint8_t>& results = loop.results;
+  results.resize(keys.size());
+  service_->QueryBatchSync(keys.data(), keys.size(), results.data(),
+                           batch_trace.get());
+  frames_sent_.fetch_add(pending.size(), std::memory_order_relaxed);
   const uint64_t write_start_ns = obs::NowNanos();
   size_t offset = 0;
-  for (const auto& [request_id, count] : *pending) {
+  for (const auto& [request_id, count] : pending) {
     EncodeQueryResponse(request_id, results.data() + offset, count,
                         &conn.outbox);
     offset += count;
@@ -887,8 +897,8 @@ void MembershipServer::FlushQueries(
   } else {
     query_request_hist_->Record(obs::NowNanos() - sync_start_ns);
   }
-  pending_keys->clear();
-  pending->clear();
+  keys.clear();
+  pending.clear();
 }
 
 void MembershipServer::DrainCompletions(Loop& loop) {

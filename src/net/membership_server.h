@@ -15,19 +15,24 @@
 // QUERY_BATCH frames are merged into ONE key batch, so a pipelining client's
 // traffic reaches BatchRouter as large cross-shard batches and keeps the
 // counting-sort shard-grouping win (§7 batch orientation) intact across the
-// network hop.  When the FilterService has worker threads (and
-// ServerOptions::offload_queries), merged batches are handed to the pool via
-// QueryBatchAsync instead of executing inline on the loop thread: the loop
-// keeps decoding while workers filter, completions come back through a
-// per-loop queue plus a wakeup fd, and responses are emitted in COMPLETION
-// order with each frame's request_id echoed — concurrent batches from one
-// connection may answer out of order, and clients reassemble by request id
-// (MembershipClient::QueryPipelined does).  A per-connection cap on
-// offloaded batches in flight (ServerOptions::max_inflight_batches) parks
-// the connection's read interest when reached, so one firehose client gets
-// TCP backpressure instead of unbounded server memory.  Without workers the
-// loop serves batches synchronously via QueryBatchSync, responses in request
-// order, exactly as before.
+// network hop.  One rule decides where each merged batch runs: a batch of
+// fewer than kInlineQueryMaxKeys keys, on a connection with no batch in
+// flight, is probed inline on the loop thread via QueryBatchSync — the probe
+// costs far less than the pool handoff it would otherwise pay.  Any other
+// batch, when the FilterService has worker threads, is handed to the pool via
+// QueryBatchAsync: the loop keeps decoding while workers filter, completions
+// come back through a per-loop queue plus a wakeup fd, and responses are
+// emitted in COMPLETION order with each frame's request_id echoed.
+// Ordering: a connection that waits for each answer before sending its next
+// request (no pipelining) always gets its answers in request order, because
+// a batch never runs inline while an older one is in flight.  Concurrent
+// batches from a pipelining connection may answer out of order, and clients
+// reassemble by request id (MembershipClient::QueryPipelined does).  A
+// per-connection cap on offloaded batches in flight
+// (ServerOptions::max_inflight_batches) parks the connection's read interest
+// when reached, so one firehose client gets TCP backpressure instead of
+// unbounded server memory.  Without workers every batch runs inline,
+// responses in request order.
 //
 // Lifecycle: Start() binds/listens (port 0 = kernel-assigned, see port()),
 // spawns the loop threads; Stop() wakes every loop through its wakeup pipe,
@@ -68,10 +73,6 @@ struct ServerOptions {
   // balanced accept), and Start() fails if any of them cannot bind.  A
   // single loop binds a plain listener.  Clamped to >= 1.
   uint32_t num_loops = 1;
-  // Offload merged QUERY_BATCH batches to the FilterService worker pool
-  // (see file header).  Only effective when the service has worker threads;
-  // a synchronous service always serves inline on the loop thread.
-  bool offload_queries = true;
   // Offloaded batches a single connection may have in flight before the
   // loop stops reading from it (resumes as completions drain).  Clamped to
   // >= 1.  Bounds per-connection server memory and queue share.
@@ -136,6 +137,14 @@ struct ServerStats {
 
 class MembershipServer {
  public:
+  // Merged query batches smaller than this, on a connection with no batch in
+  // flight, run inline on the loop thread; every other batch goes to the
+  // worker pool when the service has one (see file header).  Sized where the
+  // ~5 us pool handoff and the inline probe cost about the same: on a
+  // single-loop, single-worker server with four synchronous clients, inline
+  // serving wins throughput at 128-key batches and loses it from 256 keys up.
+  static constexpr size_t kInlineQueryMaxKeys = 256;
+
   MembershipServer(std::shared_ptr<FilterService> service,
                    ServerOptions options = {});
   ~MembershipServer();
@@ -237,6 +246,18 @@ class MembershipServer {
     // Loop-thread-only xorshift state behind head sampling and server-side
     // trace-id generation (seeded in Start()).
     uint64_t rng_state = 1;
+    // Serve-pass scratch, reused across passes so the inline query path
+    // allocates nothing once warm.  Safe to share across the loop's
+    // connections because ServeConnection never runs nested: it is entered
+    // only from LoopRun and DrainCompletions, and nothing it calls reaches
+    // either.  ServeConnection clears the pending batch at the start of each
+    // pass and frees oversized buffers at its end; an offloaded batch takes
+    // pending_keys' buffer with it.
+    Frame frame;
+    std::vector<uint64_t> pending_keys;
+    // (request_id, key count) per merged QUERY_BATCH frame, in merge order.
+    std::vector<std::pair<uint64_t, uint32_t>> pending_queries;
+    std::vector<uint8_t> results;  // inline batch answers
   };
 
   // Per-loop traffic counters behind the loop=<i> metric labels.  Fixed at
@@ -263,18 +284,17 @@ class MembershipServer {
     uint64_t start_ns = 0;
     uint64_t read_end_ns = 0;
   };
-  void HandleFrame(Loop& loop, Connection& conn, Frame& frame,
-                   std::vector<uint64_t>* pending_keys,
-                   std::vector<std::pair<uint64_t, uint32_t>>* pending_queries,
+  // Serves loop.frame, appending QUERY_BATCH keys to the loop's pending
+  // batch.
+  void HandleFrame(Loop& loop, Connection& conn,
                    std::shared_ptr<obs::ActiveTrace>* pending_trace,
                    const ServePass& pass);
-  // Runs the accumulated pipelined query keys as one merged batch: offloads
-  // to the worker pool when configured (responses emitted on completion),
-  // else executes inline and emits one response frame per original request.
-  // *pending_trace (when non-null) rides with the batch and is consumed.
+  // Runs the loop's pending query keys as one merged batch: inline when the
+  // batch is small and the connection has nothing in flight (one response
+  // frame per original request, in request order), else on the worker pool
+  // (responses emitted on completion).  *pending_trace (when non-null) rides
+  // with the batch and is consumed.
   void FlushQueries(Loop& loop, Connection& conn,
-                    std::vector<uint64_t>* pending_keys,
-                    std::vector<std::pair<uint64_t, uint32_t>>* pending,
                     std::shared_ptr<obs::ActiveTrace>* pending_trace,
                     const ServePass& pass);
   // Stamps end_ns, applies the slow-threshold tail check, and retains the
@@ -296,7 +316,6 @@ class MembershipServer {
 
   std::shared_ptr<FilterService> service_;
   ServerOptions options_;
-  bool offload_enabled_ = false;  // resolved in Start()
   std::vector<std::unique_ptr<Loop>> loops_;
   std::vector<std::unique_ptr<LoopTraffic>> loop_traffic_;
   uint16_t port_ = 0;

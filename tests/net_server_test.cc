@@ -575,6 +575,10 @@ TEST(MembershipServer, MultiLoopReuseportSpreadsConnectionsAcrossLoops) {
   }
 }
 
+// The smallest merged batch the server hands to its worker pool when the
+// connection has nothing in flight; anything smaller is served inline.
+constexpr size_t kOffloadKeys = MembershipServer::kInlineQueryMaxKeys;
+
 // A distinctive key the fault hook keys on; never inserted, only queried.
 constexpr uint64_t kMarkerKey = 0xDEADBEEF12345678ull;
 
@@ -605,7 +609,11 @@ TEST(MembershipServer, OffloadedBatchesCompleteOutOfOrderWithIdsIntact) {
   });
 
   RawConn conn(server.port());
-  std::vector<uint64_t> slow = {kMarkerKey, keys[1], keys[2]};
+  // Frame A is big enough to offload.  Frame B is small, but A is still in
+  // flight on the same connection, so B must go to the pool too rather than
+  // be answered inline (batches_offloaded counts both below).
+  std::vector<uint64_t> slow(keys.begin(), keys.begin() + kOffloadKeys);
+  slow[0] = kMarkerKey;
   std::vector<uint8_t> frame_a;
   EncodeKeyBatchRequest(Opcode::kQueryBatch, /*request_id=*/1, slow.data(),
                         slow.size(), &frame_a);
@@ -632,7 +640,7 @@ TEST(MembershipServer, OffloadedBatchesCompleteOutOfOrderWithIdsIntact) {
   ASSERT_EQ(fast_answers.size(), 2u);
   EXPECT_EQ(fast_answers[0], 1);  // keys[3], inserted
   EXPECT_EQ(fast_answers[1], 1);  // keys[4], inserted
-  ASSERT_EQ(slow_answers.size(), 3u);
+  ASSERT_EQ(slow_answers.size(), kOffloadKeys);
   EXPECT_EQ(slow_answers[1], 1);  // keys[1], inserted
   EXPECT_EQ(slow_answers[2], 1);  // keys[2], inserted
 
@@ -640,6 +648,54 @@ TEST(MembershipServer, OffloadedBatchesCompleteOutOfOrderWithIdsIntact) {
   EXPECT_GE(stats.batches_offloaded, 2u);
   EXPECT_GE(stats.responses_reordered, 1u);
   service->SetQueryFaultHookForTesting(nullptr);
+}
+
+TEST(MembershipServer, SmallBatchesServeInlineLargeBatchesOffload) {
+  auto service = MakeThreadedService(20000, /*num_threads=*/2);
+  MembershipServer server(service, ServerOptions{});
+  ASSERT_TRUE(server.Start()) << server.error();
+
+  MembershipClient client(ClientOptions{.port = server.port()});
+  const auto keys = RandomKeys(4096, 935);
+  uint64_t failures = 0;
+  ASSERT_TRUE(client.InsertBatch(keys.data(), keys.size(), &failures));
+  std::vector<uint8_t> answers;
+
+  // One key short of the threshold: probed on the loop, no pool handoff.
+  const uint64_t offloaded_before = server.stats().batches_offloaded;
+  ASSERT_TRUE(client.QueryBatch(keys.data(), kOffloadKeys - 1, &answers))
+      << client.error();
+  ASSERT_EQ(answers.size(), kOffloadKeys - 1);
+  for (uint8_t a : answers) EXPECT_EQ(a, 1);
+  EXPECT_EQ(server.stats().batches_offloaded, offloaded_before);
+
+  // At the threshold: handed to the pool.
+  ASSERT_TRUE(client.QueryBatch(keys.data(), kOffloadKeys, &answers))
+      << client.error();
+  ASSERT_EQ(answers.size(), kOffloadKeys);
+  for (uint8_t a : answers) EXPECT_EQ(a, 1);
+  EXPECT_EQ(server.stats().batches_offloaded, offloaded_before + 1);
+
+  // A run of synchronous 16-key calls: every one is served inline, and each
+  // answer carries the id of the request it answers, in request order.
+  RawConn conn(server.port());
+  constexpr uint64_t kCalls = 32;
+  for (uint64_t id = 1; id <= kCalls; ++id) {
+    std::vector<uint8_t> frame;
+    EncodeKeyBatchRequest(Opcode::kQueryBatch, id, keys.data() + id * 16, 16,
+                          &frame);
+    conn.Send(frame);
+    Frame response;
+    conn.ReadFrame(&response);
+    EXPECT_EQ(response.request_id, id);
+    ASSERT_TRUE(DecodeQueryResponsePayload(response.payload.data(),
+                                           response.payload.size(), &answers));
+    ASSERT_EQ(answers.size(), 16u);
+    for (uint8_t a : answers) EXPECT_EQ(a, 1);
+  }
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.batches_offloaded, offloaded_before + 1);
+  EXPECT_EQ(stats.responses_reordered, 0u);
 }
 
 TEST(MembershipServer, InflightCapParksReadsAndEveryResponseStillArrives) {
@@ -663,7 +719,9 @@ TEST(MembershipServer, InflightCapParksReadsAndEveryResponseStillArrives) {
   });
 
   RawConn conn(server.port());
-  std::vector<uint64_t> slow = {kMarkerKey};
+  // Big enough to offload rather than run inline on the loop.
+  std::vector<uint64_t> slow(keys.begin(), keys.begin() + kOffloadKeys);
+  slow[0] = kMarkerKey;
   std::vector<uint8_t> frame;
   EncodeKeyBatchRequest(Opcode::kQueryBatch, /*request_id=*/1, slow.data(),
                         slow.size(), &frame);
@@ -800,7 +858,7 @@ TEST(MembershipServer, StopDrainsInflightOffloadedWorkAndLeaksNoFds) {
     RawConn conn(server.port());
     std::vector<uint8_t> frame;
     EncodeKeyBatchRequest(Opcode::kQueryBatch, /*request_id=*/9, keys.data(),
-                          256, &frame);
+                          kOffloadKeys, &frame);
     conn.Send(frame);
     // Let the batch reach a worker (now sleeping in the hook), then shut
     // down with the completion still outstanding.
@@ -808,7 +866,9 @@ TEST(MembershipServer, StopDrainsInflightOffloadedWorkAndLeaksNoFds) {
     server.Stop();
     EXPECT_FALSE(server.running());
     service->SetQueryFaultHookForTesting(nullptr);
-    // Stop() drained the pool: the batch ran to completion.
+    // The batch went to the pool, and Stop() drained it: the batch ran to
+    // completion.
+    EXPECT_EQ(server.stats().batches_offloaded, 1u);
     EXPECT_GE(service->stats().query_batches, 1u);
   }
   // Server loops, listeners, wake pipes, pollers, and both clients are gone.
@@ -844,8 +904,9 @@ TEST(MembershipServer, TracedRequestsCaptureFullPipelineTimelines) {
   uint64_t failures = 0;
   ASSERT_TRUE(client.InsertBatch(keys.data(), keys.size(), &failures));
   std::vector<uint8_t> answers;
-  ASSERT_TRUE(client.QueryBatch(keys.data(), 256, &answers));
-  ASSERT_EQ(answers.size(), 256u);
+  // Big enough to offload, so the timeline covers the pool's stages.
+  ASSERT_TRUE(client.QueryBatch(keys.data(), kOffloadKeys, &answers));
+  ASSERT_EQ(answers.size(), kOffloadKeys);
 
   // TRACES rides the same connection, so it is served strictly after the
   // query's trace was finished and pushed.
