@@ -399,10 +399,8 @@ int main(int argc, char** argv) {
                  control.error().c_str());
     return 1;
   }
-  uint64_t shard_queries_before = 0, shard_queries_after = 0;
-  for (const auto& s : before.shards) shard_queries_before += s.queries;
-  for (const auto& s : after.shards) shard_queries_after += s.queries;
-  const uint64_t shard_delta = shard_queries_after - shard_queries_before;
+  const uint64_t shard_delta = net::SumShards(after.shards).queries -
+                               net::SumShards(before.shards).queries;
   if (shard_delta < total_queried) {
     std::fprintf(stderr,
                  "net_loadgen: shard counters grew by %" PRIu64 " for %" PRIu64
@@ -411,10 +409,14 @@ int main(int argc, char** argv) {
     failed = true;
   }
   std::printf("net_loadgen: %" PRIu64 " keys over %zu shards "
-              "(%" PRIu64 " shard queries, %" PRIu64
-              " query batches served)\n",
-              total_queried, after.shards.size(), shard_delta,
-              after.query_batches - before.query_batches);
+              "(%" PRIu64 " shard queries)\n",
+              total_queried, after.shards.size(), shard_delta);
+  uint64_t batches_before = 0, batches_after = 0;
+  if (net::ServiceBatches(before, "query", &batches_before) &&
+      net::ServiceBatches(after, "query", &batches_after)) {
+    std::printf("net_loadgen: %" PRIu64 " query batches served\n",
+                batches_after - batches_before);
+  }
 
   // --- server-side telemetry ------------------------------------------------
   // The final STATS carries the server's whole metrics registry: the

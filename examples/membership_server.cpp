@@ -104,13 +104,16 @@ int Serve(const std::string& filter_name, uint64_t capacity, uint16_t port,
   }
 
   const net::ServerStats stats = server.stats();
+  // Key and failure totals are the shards' own counters.
+  const prefixfilter::ShardStats keys = service->filter().TotalStats();
   server.Stop();
   std::printf("membership_server: served %" PRIu64 " frames (%" PRIu64
-              " inserts, %" PRIu64 " queries, %" PRIu64
-              " merged) on %" PRIu64 " connections; %" PRIu64
-              " protocol errors, %" PRIu64 " drops\n",
-              stats.frames_received, stats.inserts_served,
-              stats.queries_served, stats.query_frames_merged,
+              " keys inserted, %" PRIu64 " failed, %" PRIu64
+              " keys queried, %" PRIu64 " frames merged) on %" PRIu64
+              " connections; %" PRIu64 " protocol errors, %" PRIu64
+              " drops\n",
+              stats.frames_received, keys.inserts, keys.insert_failures,
+              keys.queries, stats.query_frames_merged,
               stats.connections_accepted, stats.protocol_errors,
               stats.connections_dropped);
   return 0;
@@ -184,13 +187,18 @@ int Demo() {
     min_load = std::min(min_load, shard.inserts);
     max_load = std::max(max_load, shard.inserts);
   }
-  std::printf("service: %" PRIu64 " keys in %" PRIu64 " insert batches, "
-              "%" PRIu64 " queried over %zu shards; shard load %" PRIu64
-              "..%" PRIu64 " (%.1f%% spread)\n",
-              stats.keys_inserted, stats.insert_batches, stats.keys_queried,
-              stats.shards.size(), min_load, max_load,
+  const net::WireShardStats totals = net::SumShards(stats.shards);
+  std::printf("service: %" PRIu64 " keys inserted, %" PRIu64
+              " queried over %zu shards; shard load %" PRIu64 "..%" PRIu64
+              " (%.1f%% spread)\n",
+              totals.inserts, totals.queries, stats.shards.size(), min_load,
+              max_load,
               100.0 * static_cast<double>(max_load - min_load) /
                   static_cast<double>(max_load));
+  uint64_t batches = 0;
+  if (net::ServiceBatches(stats, "insert", &batches)) {
+    std::printf("service: %" PRIu64 " insert batches\n", batches);
+  }
 
   // Snapshot over the wire, "restart", verify: the restored service answers
   // identically — the build-once/load-later lifecycle of §1, lifted to the

@@ -9,9 +9,10 @@
 //   build/example_pf_stat --connect=HOST:PORT --traces  fetch the server's
 //       retained request traces and print each span timeline
 //
-// One STATS round trip (src/net/protocol.h) returns the service counters
-// plus the server's whole metrics-registry snapshot.  --traces uses the
-// TRACES opcode.
+// One STATS round trip (src/net/protocol.h) returns the per-shard counters
+// plus the server's whole metrics-registry snapshot.  Key and failure totals
+// are the shard sums; batch counts come from the metrics (and are omitted
+// when a PF_OBS=OFF server sends none).  --traces uses the TRACES opcode.
 #include <chrono>
 #include <cinttypes>
 #include <cstdint>
@@ -87,10 +88,16 @@ void PrintHistRow(const std::string& name, const obs::HistogramSnapshot& h) {
 void PrintServiceSummary(const net::WireStats& w) {
   std::printf("service: %s  capacity=%" PRIu64 "  shards=%zu\n",
               w.filter_name.c_str(), w.capacity, w.shards.size());
-  std::printf("  inserted=%" PRIu64 " (in %" PRIu64 " batches, %" PRIu64
-              " failures)  queried=%" PRIu64 " (in %" PRIu64 " batches)\n",
-              w.keys_inserted, w.insert_batches, w.insert_failures,
-              w.keys_queried, w.query_batches);
+  const net::WireShardStats totals = net::SumShards(w.shards);
+  std::printf("  inserted=%" PRIu64 " (%" PRIu64 " failures)  queried=%" PRIu64
+              "\n",
+              totals.inserts, totals.insert_failures, totals.queries);
+  uint64_t inserts = 0, queries = 0;
+  if (net::ServiceBatches(w, "insert", &inserts) &&
+      net::ServiceBatches(w, "query", &queries)) {
+    std::printf("  batches: %" PRIu64 " insert, %" PRIu64 " query\n",
+                inserts, queries);
+  }
 }
 
 // Prints one scrape; `prev` (may be null) turns counters into interval
@@ -265,10 +272,13 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "scrape failed: %s\n", client.error().c_str());
       return 1;
     }
+    const net::WireShardStats now = net::SumShards(cur.shards);
+    const net::WireShardStats was = net::SumShards(prev.shards);
     std::printf("--- +%.1fs: +%" PRIu64 " keys queried, +%" PRIu64
-                " keys inserted ---\n",
-                interval_s, cur.keys_queried - prev.keys_queried,
-                cur.keys_inserted - prev.keys_inserted);
+                " keys inserted, +%" PRIu64 " insert failures ---\n",
+                interval_s, now.queries - was.queries,
+                now.inserts - was.inserts,
+                now.insert_failures - was.insert_failures);
     PrintMetrics(cur.metrics, &prev.metrics, interval_s);
     prev = std::move(cur);
   } while (watch);

@@ -70,11 +70,6 @@ net::WireStats SampleStats() {
   net::WireStats stats;
   stats.filter_name = "PF[TC]";
   stats.capacity = 1u << 16;
-  stats.insert_batches = 12;
-  stats.query_batches = 34;
-  stats.keys_inserted = 4096;
-  stats.keys_queried = 8192;
-  stats.insert_failures = 1;
   stats.shards.resize(4);
   for (size_t i = 0; i < stats.shards.size(); ++i) {
     stats.shards[i].inserts = 1000 + i;

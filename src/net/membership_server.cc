@@ -45,12 +45,6 @@ void TrimScratch(std::vector<T>* v) {
 
 WireStats CollectWireStats(const FilterService& service) {
   WireStats wire;
-  const FilterServiceStats stats = service.stats();
-  wire.insert_batches = stats.insert_batches;
-  wire.query_batches = stats.query_batches;
-  wire.keys_inserted = stats.keys_inserted;
-  wire.keys_queried = stats.keys_queried;
-  wire.insert_failures = stats.insert_failures;
   const ShardedFilter& filter = service.filter();
   wire.filter_name = filter.Name();
   wire.capacity = filter.Capacity();
@@ -121,8 +115,6 @@ MembershipServer::MembershipServer(std::shared_ptr<FilterService> service,
         counter("net.server.frames.in", s.frames_received);
         counter("net.server.frames.out", s.frames_sent);
         counter("net.server.protocol.errors", s.protocol_errors);
-        counter("net.server.keys.inserted", s.inserts_served);
-        counter("net.server.keys.queried", s.queries_served);
         counter("net.server.frames.merged", s.query_frames_merged);
         counter("net.server.bytes.in", s.bytes_in);
         counter("net.server.bytes.out", s.bytes_out);
@@ -153,8 +145,6 @@ MembershipServer::MembershipServer(std::shared_ptr<FilterService> service,
                        t.accepted.load(std::memory_order_relaxed));
           loop_counter("net.server.loop.frames",
                        t.frames.load(std::memory_order_relaxed));
-          loop_counter("net.server.loop.keys",
-                       t.keys.load(std::memory_order_relaxed));
         }
       });
 }
@@ -336,14 +326,13 @@ void MembershipServer::Stop() {
 
 ServerStats MembershipServer::stats() const {
   ServerStats s;
-  s.connections_accepted =
-      connections_accepted_.load(std::memory_order_relaxed);
+  for (const auto& t : loop_traffic_) {
+    s.connections_accepted += t->accepted.load(std::memory_order_relaxed);
+    s.frames_received += t->frames.load(std::memory_order_relaxed);
+  }
   s.connections_dropped = connections_dropped_.load(std::memory_order_relaxed);
-  s.frames_received = frames_received_.load(std::memory_order_relaxed);
   s.frames_sent = frames_sent_.load(std::memory_order_relaxed);
   s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-  s.inserts_served = inserts_served_.load(std::memory_order_relaxed);
-  s.queries_served = queries_served_.load(std::memory_order_relaxed);
   s.query_frames_merged =
       query_frames_merged_.load(std::memory_order_relaxed);
   s.bytes_in = bytes_in_.load(std::memory_order_relaxed);
@@ -431,14 +420,9 @@ void MembershipServer::LoopRun(Loop& loop) {
       std::chrono::steady_clock::now() + std::chrono::seconds(2);
   for (;;) {
     DrainCompletions(loop);
-    bool inflight = false;
-    for (const auto& [fd, conn] : loop.connections) {
-      (void)fd;
-      if (conn.inflight > 0) {
-        inflight = true;
-        break;
-      }
-    }
+    const bool inflight = std::any_of(
+        loop.connections.begin(), loop.connections.end(),
+        [](const auto& entry) { return !entry.second.inflight_seqs.empty(); });
     // Same shutdown deadline as above.  // pf-lint: allow(steady-clock)
     if (!inflight || std::chrono::steady_clock::now() >= deadline) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -479,7 +463,6 @@ void MembershipServer::AcceptAll(Loop& loop, int listen_fd, bool is_http) {
     loop.fd_by_conn_id.emplace(conn.id, fd);
     loop.connections.emplace(fd, std::move(conn));
     open_connections_.fetch_add(1, std::memory_order_relaxed);
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
     loop_traffic_[loop.index]->accepted.fetch_add(1,
                                                   std::memory_order_relaxed);
     active_conns_gauge_->Add(1);
@@ -534,7 +517,7 @@ bool MembershipServer::ServeConnection(Loop& loop, Connection& conn) {
   loop.pending_queries.clear();
   std::shared_ptr<obs::ActiveTrace> pending_trace;
   for (;;) {
-    if (conn.inflight >= inflight_cap) {
+    if (conn.inflight_seqs.size() >= inflight_cap) {
       // Backpressure: the connection is at its offload cap.  Stop decoding
       // (complete frames stay buffered in the decoder, unread bytes stay in
       // the kernel buffer → TCP pushback) and drop read interest until
@@ -553,7 +536,6 @@ bool MembershipServer::ServeConnection(Loop& loop, Connection& conn) {
       conn.dropped = true;  // framing lost; the connection cannot be saved
       return false;
     }
-    frames_received_.fetch_add(1, std::memory_order_relaxed);
     loop_traffic_[loop.index]->frames.fetch_add(1, std::memory_order_relaxed);
     HandleFrame(loop, conn, &pending_trace, pass);
   }
@@ -755,9 +737,6 @@ void MembershipServer::HandleFrame(
       }
       const uint64_t failures =
           service_->InsertBatchSync(keys.data(), keys.size());
-      inserts_served_.fetch_add(keys.size(), std::memory_order_relaxed);
-      loop_traffic_[loop.index]->keys.fetch_add(keys.size(),
-                                                std::memory_order_relaxed);
       EncodeInsertResponse(frame.request_id, failures, &conn.outbox);
       return;
     }
@@ -805,9 +784,6 @@ void MembershipServer::FlushQueries(
   std::vector<std::pair<uint64_t, uint32_t>>& pending = loop.pending_queries;
   if (pending.empty()) return;
   merge_frames_hist_->Record(pending.size());
-  queries_served_.fetch_add(keys.size(), std::memory_order_relaxed);
-  loop_traffic_[loop.index]->keys.fetch_add(keys.size(),
-                                            std::memory_order_relaxed);
 
   // The batch is sealed: close the read, decode (and merge) windows.  The
   // merge span only exists when frames actually coalesced; its detail
@@ -833,13 +809,12 @@ void MembershipServer::FlushQueries(
   // "Nothing in flight" keeps a non-pipelining client's answers in request
   // order.
   if (service_->num_threads() > 0 &&
-      (keys.size() >= kInlineQueryMaxKeys || conn.inflight > 0)) {
+      (keys.size() >= kInlineQueryMaxKeys || !conn.inflight_seqs.empty())) {
     // Decode/filter decoupling: hand the merged batch to the FilterService
     // worker pool and keep the loop decoding.  The completion callback runs
     // on the worker thread — it only queues the result and tickles the
     // loop's wakeup pipe; all connection state stays loop-thread-only.
     batches_offloaded_.fetch_add(1, std::memory_order_relaxed);
-    conn.inflight += 1;
     Completion comp;
     comp.conn_id = conn.id;
     comp.seq = conn.next_seq++;
@@ -927,7 +902,6 @@ void MembershipServer::DrainCompletions(Loop& loop) {
     const auto seq_it = std::find(conn.inflight_seqs.begin(),
                                   conn.inflight_seqs.end(), comp.seq);
     if (seq_it != conn.inflight_seqs.end()) conn.inflight_seqs.erase(seq_it);
-    if (conn.inflight > 0) --conn.inflight;
 
     const uint64_t drained_ns = obs::NowNanos();
     // Wakeup dispatch delay: worker callback entry -> this loop pickup (the
@@ -963,7 +937,8 @@ void MembershipServer::DrainCompletions(Loop& loop) {
 
     bool alive;
     if (conn.read_parked &&
-        conn.inflight < std::max(1u, options_.max_inflight_batches)) {
+        conn.inflight_seqs.size() <
+            std::max(1u, options_.max_inflight_batches)) {
       // Unpark: frames may already sit decoded-but-unserved in the decoder
       // and bytes in the kernel buffer — a full re-serve picks both up and
       // restores read interest via FlushOutbox.

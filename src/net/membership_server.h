@@ -113,15 +113,16 @@ struct ServerOptions {
 };
 
 // Server-wide counters, readable concurrently with the running server
-// (aggregated across loops).
+// (aggregated across loops; connections_accepted and frames_received are
+// sums of the per-loop counters).  Keys served are not here: the shards
+// count them (FilterService::filter().TotalStats(), or the STATS shard
+// table).
 struct ServerStats {
   uint64_t connections_accepted = 0;
   uint64_t connections_dropped = 0;  // protocol errors / overflow / rejects
   uint64_t frames_received = 0;
   uint64_t frames_sent = 0;          // response frames queued to outboxes
   uint64_t protocol_errors = 0;
-  uint64_t inserts_served = 0;       // keys
-  uint64_t queries_served = 0;       // keys
   uint64_t query_frames_merged = 0;  // extra frames coalesced into a batch
   uint64_t bytes_in = 0;             // raw socket bytes (all listeners)
   uint64_t bytes_out = 0;
@@ -196,12 +197,12 @@ class MembershipServer {
     // in-flight offloaded batches (write-interest only — a level-triggered
     // EOF must not spin the loop).
     bool peer_closed = false;
-    // Offloaded batches not yet completed, and the backpressure park flag
-    // (read interest dropped until completions bring inflight under cap).
-    uint32_t inflight = 0;
+    // Backpressure park flag: read interest dropped until completions bring
+    // the in-flight count back under the cap.
     bool read_parked = false;
-    // Per-connection submit sequence numbers of in-flight batches, oldest
-    // first: completing anything but the front is a reordered response.
+    // Per-connection submit sequence numbers of the offloaded batches not
+    // yet completed, oldest first; its size is the in-flight count, and
+    // completing anything but the front is a reordered response.
     uint64_t next_seq = 0;
     std::vector<uint64_t> inflight_seqs;
     // Accepted on the HTTP listener: the byte stream is HTTP/1.x, served by
@@ -260,12 +261,13 @@ class MembershipServer {
     std::vector<uint8_t> results;  // inline batch answers
   };
 
-  // Per-loop traffic counters behind the loop=<i> metric labels.  Fixed at
-  // construction so the scrape-time collector never races loop setup.
+  // Per-loop traffic counters behind the loop=<i> metric labels, and the
+  // only home of the accept and received-frame counts (stats() sums them).
+  // Fixed at construction so the scrape-time collector never races loop
+  // setup.
   struct LoopTraffic {
     std::atomic<uint64_t> accepted{0};
     std::atomic<uint64_t> frames{0};
-    std::atomic<uint64_t> keys{0};
   };
 
   void LoopRun(Loop& loop);
@@ -311,7 +313,8 @@ class MembershipServer {
   // True while `conn` must survive: outbox bytes unsent or batches in
   // flight.
   static bool HasPendingWork(const Connection& conn) {
-    return conn.outbox_sent < conn.outbox.size() || conn.inflight > 0;
+    return conn.outbox_sent < conn.outbox.size() ||
+           !conn.inflight_seqs.empty();
   }
 
   std::shared_ptr<FilterService> service_;
@@ -328,13 +331,9 @@ class MembershipServer {
   // Across all loops; checked against options.max_connections on accept.
   std::atomic<size_t> open_connections_{0};
 
-  std::atomic<uint64_t> connections_accepted_{0};
   std::atomic<uint64_t> connections_dropped_{0};
-  std::atomic<uint64_t> frames_received_{0};
   std::atomic<uint64_t> frames_sent_{0};
   std::atomic<uint64_t> protocol_errors_{0};
-  std::atomic<uint64_t> inserts_served_{0};
-  std::atomic<uint64_t> queries_served_{0};
   std::atomic<uint64_t> query_frames_merged_{0};
   std::atomic<uint64_t> bytes_in_{0};
   std::atomic<uint64_t> bytes_out_{0};

@@ -216,11 +216,6 @@ void EncodeStatsResponse(uint64_t request_id, const WireStats& stats,
   ByteWriter w(out);
   w.Str(stats.filter_name);
   w.U64(stats.capacity);
-  w.U64(stats.insert_batches);
-  w.U64(stats.query_batches);
-  w.U64(stats.keys_inserted);
-  w.U64(stats.keys_queried);
-  w.U64(stats.insert_failures);
   w.U32(static_cast<uint32_t>(stats.shards.size()));
   for (const WireShardStats& s : stats.shards) {
     w.U64(s.inserts);
@@ -240,11 +235,6 @@ bool DecodeStatsPayload(const uint8_t* payload, size_t len, WireStats* stats) {
   WireStats out;
   out.filter_name = r.Str();
   out.capacity = r.U64();
-  out.insert_batches = r.U64();
-  out.query_batches = r.U64();
-  out.keys_inserted = r.U64();
-  out.keys_queried = r.U64();
-  out.insert_failures = r.U64();
   const uint32_t num_shards = r.U32();
   // 32 bytes per shard must fit in what remains; bounds the allocation.
   if (!r.ok() || static_cast<size_t>(num_shards) * 32 > r.remaining()) {
@@ -260,6 +250,26 @@ bool DecodeStatsPayload(const uint8_t* payload, size_t len, WireStats* stats) {
   if (!obs::DecodeMetricSamples(&r, &out.metrics)) return false;
   if (!r.ok() || r.remaining() != 0) return false;
   *stats = std::move(out);
+  return true;
+}
+
+WireShardStats SumShards(const std::vector<WireShardStats>& shards) {
+  WireShardStats total;
+  for (const WireShardStats& s : shards) {
+    total.inserts += s.inserts;
+    total.insert_failures += s.insert_failures;
+    total.queries += s.queries;
+    total.hits += s.hits;
+  }
+  return total;
+}
+
+bool ServiceBatches(const WireStats& stats, const char* op,
+                    uint64_t* batches) {
+  const obs::MetricSample* s =
+      obs::FindSample(stats.metrics, "service.batch.keys", "op", op);
+  if (s == nullptr) return false;
+  *batches = s->hist.count;
   return true;
 }
 

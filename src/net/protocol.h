@@ -13,7 +13,7 @@
 //
 //   offset  size  field
 //        0     4  magic        0x50464E31 ("PFN1")
-//        4     1  version      kProtocolVersion (2)
+//        4     1  version      kProtocolVersion (3)
 //        5     1  opcode       Opcode below
 //        6     2  flags        bit 0 = response, bit 1 = error response,
 //                              bit 2 = payload starts with a trace context
@@ -26,7 +26,11 @@
 //   INSERT_BATCH response:               u64 failed-insert count
 //   QUERY_BATCH  response:               u32 count, then count x u8 (0/1)
 //   STATS        request:                empty
-//   STATS        response:               WireStats (see EncodeStatsResponse)
+//   STATS        response:               str filter_name, u64 capacity,
+//                                        u32 shard count + 4 x u64 per shard
+//                                        (inserts, insert failures, queries,
+//                                        hits), then the metrics blob (see
+//                                        EncodeStatsResponse)
 //   SNAPSHOT     request:                empty
 //   SNAPSHOT     response:               AnyFilter envelope bytes (the same
 //                                        image FilterService::Snapshot writes)
@@ -39,7 +43,7 @@
 // Trace context (kFlagTraced, bit 2): when set on a request, the payload is
 // prefixed with kTraceContextBytes of trace context — u64 trace id + u8
 // context flags (bit 0 = sampled) — and the opcode's normal payload follows.
-// Every version-2 server accepts the bit on any request and strips the
+// Every server since version 2 accepts the bit on any request and strips the
 // prefix before parsing; a server built with observability compiled out
 // simply records nothing.
 //
@@ -55,8 +59,8 @@
 // Versioning: the header's version byte gates the whole frame; a decoder
 // seeing any other version reports kBadVersion without consuming past the
 // header.  Payloads carry no version of their own: a layout change is a
-// header version bump, so a version-1 peer (whose STATS payload had a
-// different layout) is rejected cleanly instead of misdecoded.
+// header version bump, so an older peer (versions 1 and 2 laid out STATS
+// differently) is rejected cleanly instead of misdecoded.
 //
 // Robustness: FrameDecoder is incremental (feed arbitrary byte slices) and
 // malformed-input-safe — bad magic/version/length/checksum poison the stream
@@ -78,7 +82,7 @@
 namespace prefixfilter::net {
 
 inline constexpr uint32_t kFrameMagic = 0x50464E31;  // "PFN1"
-inline constexpr uint8_t kProtocolVersion = 2;
+inline constexpr uint8_t kProtocolVersion = 3;
 inline constexpr size_t kFrameHeaderBytes = 24;
 // Upper bound on a frame payload.  Requests are key batches (a 1M-key batch
 // is 8 MiB); responses include whole service snapshots, which for the
@@ -205,30 +209,33 @@ struct WireShardStats {
 };
 
 // Service-wide stats snapshot served by the STATS opcode (request:
-// EncodeEmptyRequest(kStats, ...)).  The per-shard vector is the observable
-// proof that socket traffic rides the BatchRouter/shard path (tests and the
-// loadgen assert on it); `metrics` is the server's full metrics-registry
-// snapshot (empty under PF_OBS=OFF).
+// EncodeEmptyRequest(kStats, ...)).  Each quantity travels once.  The
+// per-shard vector carries the key and failure counts (SumShards gives the
+// totals) and is the observable proof that socket traffic rides the
+// BatchRouter/shard path.  `metrics` is the server's full metrics-registry
+// snapshot (empty under PF_OBS=OFF); batch counts are read from it
+// (ServiceBatches).
 struct WireStats {
   std::string filter_name;
   uint64_t capacity = 0;
-  uint64_t insert_batches = 0;
-  uint64_t query_batches = 0;
-  uint64_t keys_inserted = 0;
-  uint64_t keys_queried = 0;
-  uint64_t insert_failures = 0;
   std::vector<WireShardStats> shards;
   std::vector<obs::MetricSample> metrics;
 };
 
-// Payload: str filter_name, u64 capacity, the five u64 service counters in
-// declaration order, u32 shard count + 4 x u64 per shard, then the metrics
-// blob (obs::EncodeMetricSamples).
+// Payload: str filter_name, u64 capacity, u32 shard count + 4 x u64 per
+// shard, then the metrics blob (obs::EncodeMetricSamples).
 void EncodeStatsResponse(uint64_t request_id, const WireStats& stats,
                          std::vector<uint8_t>* out);
 // Validates every count against the bytes present and requires the payload
 // to end exactly after the metrics blob.
 bool DecodeStatsPayload(const uint8_t* payload, size_t len, WireStats* stats);
+
+// Service-wide key and failure totals: the per-shard counters summed.
+WireShardStats SumShards(const std::vector<WireShardStats>& shards);
+// Batches the service executed for `op` ("insert" or "query"): the count of
+// the service.batch.keys{op} histogram in stats.metrics.  False when the blob
+// lacks the series (a PF_OBS=OFF server).
+bool ServiceBatches(const WireStats& stats, const char* op, uint64_t* batches);
 
 // --- TRACES payload ---------------------------------------------------------
 

@@ -261,7 +261,7 @@ struct MetricSample {
 // registry's lifetime — callers cache them at construction and update
 // lock-free).  Collectors are callbacks evaluated only at scrape time, the
 // zero-hot-path-cost way to expose counters a subsystem already maintains
-// (FilterServiceStats, ShardStats).
+// (ShardStats, the server's per-loop counters).
 class MetricsRegistry {
  public:
   using Labels = std::vector<std::pair<std::string, std::string>>;

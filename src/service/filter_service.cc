@@ -24,38 +24,13 @@ FilterService::FilterService(std::shared_ptr<ShardedFilter> filter,
       query_batch_keys_hist_(
           registry_->GetHistogram("service.batch.keys", {{"op", "query"}})) {
   filter_->EnableMetrics(registry_);
-  collector_id_ = registry_->AddCollector(
-      [this](std::vector<obs::MetricSample>* samples) {
-        const FilterServiceStats s = stats();
-        const auto counter = [samples](const char* name, uint64_t value,
-                                       obs::MetricsRegistry::Labels labels =
-                                           {}) {
-          obs::MetricSample sample;
-          sample.name = name;
-          sample.labels = std::move(labels);
-          sample.kind = obs::MetricKind::kCounter;
-          sample.value = static_cast<int64_t>(value);
-          samples->push_back(std::move(sample));
-        };
-        counter("service.batches", s.insert_batches, {{"op", "insert"}});
-        counter("service.batches", s.query_batches, {{"op", "query"}});
-        counter("service.keys", s.keys_inserted, {{"op", "insert"}});
-        counter("service.keys", s.keys_queried, {{"op", "query"}});
-        counter("service.insert.failures", s.insert_failures);
-      });
   workers_.reserve(num_threads_);
   for (uint32_t t = 0; t < num_threads_; ++t) {
     workers_.emplace_back([this]() { WorkerLoop(); });
   }
 }
 
-FilterService::~FilterService() {
-  Stop();
-  // After this the collector can never fire again (RemoveCollector holds the
-  // registry lock against in-flight Collect calls), so members it reads may
-  // be torn down.
-  registry_->RemoveCollector(collector_id_);
-}
+FilterService::~FilterService() { Stop(); }
 
 std::future<uint64_t> FilterService::InsertBatch(std::vector<uint64_t> keys) {
   Request request;
@@ -135,11 +110,7 @@ uint64_t FilterService::InsertBatchSync(const uint64_t* keys, size_t count) {
   obs::ScopedLatency timer(insert_exec_hist_);
   insert_batch_keys_hist_->Record(count);
   ReaderMutexLock snapshot_guard(snapshot_mutex_);
-  const uint64_t failures = filter_->InsertBatch(keys, count);
-  insert_batches_.fetch_add(1, std::memory_order_relaxed);
-  keys_inserted_.fetch_add(count, std::memory_order_relaxed);
-  insert_failures_.fetch_add(failures, std::memory_order_relaxed);
-  return failures;
+  return filter_->InsertBatch(keys, count);
 }
 
 void FilterService::QueryBatchSync(const uint64_t* keys, size_t count,
@@ -165,8 +136,6 @@ void FilterService::QueryBatchSync(const uint64_t* keys, size_t count,
   if (trace != nullptr) {
     trace->AddSpan(obs::TraceStage::kExec, exec_start_ns, obs::NowNanos());
   }
-  query_batches_.fetch_add(1, std::memory_order_relaxed);
-  keys_queried_.fetch_add(count, std::memory_order_relaxed);
 }
 
 bool FilterService::Contains(uint64_t key) const {
@@ -227,16 +196,6 @@ std::shared_ptr<ShardedFilter> FilterService::Restore(const uint8_t* data,
   if (sharded == nullptr) return nullptr;
   any.release();
   return std::shared_ptr<ShardedFilter>(sharded);
-}
-
-FilterServiceStats FilterService::stats() const {
-  FilterServiceStats s;
-  s.insert_batches = insert_batches_.load(std::memory_order_relaxed);
-  s.query_batches = query_batches_.load(std::memory_order_relaxed);
-  s.keys_inserted = keys_inserted_.load(std::memory_order_relaxed);
-  s.keys_queried = keys_queried_.load(std::memory_order_relaxed);
-  s.insert_failures = insert_failures_.load(std::memory_order_relaxed);
-  return s;
 }
 
 void FilterService::SetQueryFaultHookForTesting(

@@ -47,15 +47,6 @@ struct FilterServiceOptions {
   obs::MetricsRegistry* registry = nullptr;
 };
 
-// Service-level counters (per-shard counters live in ShardedFilter).
-struct FilterServiceStats {
-  uint64_t insert_batches = 0;
-  uint64_t query_batches = 0;
-  uint64_t keys_inserted = 0;
-  uint64_t keys_queried = 0;
-  uint64_t insert_failures = 0;
-};
-
 class FilterService {
  public:
   explicit FilterService(std::shared_ptr<ShardedFilter> filter,
@@ -94,8 +85,9 @@ class FilterService {
 
   // Synchronous batch entry points for callers that already own a thread
   // (the network event loop hands decoded frames straight here): they bypass
-  // the request queue but take the same snapshot shared-lock, update the
-  // same stats, and ride the same BatchRouter path as queued batches.  Safe concurrently with queued traffic.
+  // the request queue but take the same snapshot shared-lock, feed the same
+  // histograms, and ride the same BatchRouter path as queued batches.  Safe
+  // concurrently with queued traffic.
   uint64_t InsertBatchSync(const uint64_t* keys, size_t count);
   // A non-null `trace` receives the exec span and (via CurrentTrace()) the
   // per-shard probe spans recorded while the batch runs.
@@ -124,7 +116,6 @@ class FilterService {
 
   const ShardedFilter& filter() const { return *filter_; }
   uint32_t num_threads() const { return num_threads_; }
-  FilterServiceStats stats() const;
 
   // Completes queued work and joins the workers.  Idempotent; batches
   // submitted after Stop() execute synchronously.
@@ -181,12 +172,6 @@ class FilterService {
   // by Stop() after the stopping_ handshake — not guarded by mutex_.
   std::vector<std::thread> workers_;
 
-  std::atomic<uint64_t> insert_batches_{0};
-  std::atomic<uint64_t> query_batches_{0};
-  std::atomic<uint64_t> keys_inserted_{0};
-  std::atomic<uint64_t> keys_queried_{0};
-  std::atomic<uint64_t> insert_failures_{0};
-
   // Test-only query fault hook (see SetQueryFaultHookForTesting).  The
   // atomic flag keeps the disabled hot path to one relaxed load; the mutex
   // makes install/clear safe against in-flight batches.
@@ -196,8 +181,9 @@ class FilterService {
       PF_GUARDED_BY(query_fault_hook_mutex_);
 
   // Observability: histograms/gauges resolved once at construction, updated
-  // lock-free on the request path; the counters above reach the registry
-  // through a scrape-time collector (zero extra hot-path cost).
+  // lock-free on the request path.  The service keeps no counters of its
+  // own: key and failure totals live in the shards (ShardStats), batch
+  // counts and key sums in the service.batch.keys{op} histograms.
   obs::MetricsRegistry* registry_;
   obs::Gauge* queue_depth_gauge_;
   obs::LatencyHistogram* queue_wait_hist_;
@@ -205,7 +191,6 @@ class FilterService {
   obs::LatencyHistogram* query_exec_hist_;
   obs::LatencyHistogram* insert_batch_keys_hist_;
   obs::LatencyHistogram* query_batch_keys_hist_;
-  uint64_t collector_id_ = 0;
 };
 
 // Builds a FilterService for any factory filter name: "SHARD<n>[<inner>]"

@@ -327,32 +327,29 @@ void ShardedFilter::EnableMetrics(obs::MetricsRegistry* registry) {
   registry_ = registry;
   group_keys_hist_ = registry->GetHistogram("shard.group.keys");
   // Scrape-time view over the ShardStats already maintained under the shard
-  // locks — per-shard occupancy (keys the shard absorbed), probe counts, and
-  // hits cost the hot path nothing extra.
+  // locks — per-shard occupancy (keys the shard absorbed), insert failures,
+  // probe counts, and hits cost the hot path nothing extra.  These are the
+  // service's only key and failure totals.
   collector_id_ = registry->AddCollector(
       [this](std::vector<obs::MetricSample>* samples) {
         for (uint32_t s = 0; s < num_shards_; ++s) {
           const ShardStats stats = shard_stats(s);
           const std::string shard_label = std::to_string(s);
-          obs::MetricSample occupancy;
-          occupancy.name = "shard.occupancy.keys";
-          occupancy.labels = {{"shard", shard_label}};
-          occupancy.kind = obs::MetricKind::kGauge;
-          occupancy.value =
-              static_cast<int64_t>(stats.inserts - stats.insert_failures);
-          samples->push_back(std::move(occupancy));
-          obs::MetricSample probes;
-          probes.name = "shard.probes";
-          probes.labels = {{"shard", shard_label}};
-          probes.kind = obs::MetricKind::kCounter;
-          probes.value = static_cast<int64_t>(stats.queries);
-          samples->push_back(std::move(probes));
-          obs::MetricSample hits;
-          hits.name = "shard.hits";
-          hits.labels = {{"shard", shard_label}};
-          hits.kind = obs::MetricKind::kCounter;
-          hits.value = static_cast<int64_t>(stats.hits);
-          samples->push_back(std::move(hits));
+          const auto emit = [&](const char* name, obs::MetricKind kind,
+                                uint64_t value) {
+            obs::MetricSample sample;
+            sample.name = name;
+            sample.labels = {{"shard", shard_label}};
+            sample.kind = kind;
+            sample.value = static_cast<int64_t>(value);
+            samples->push_back(std::move(sample));
+          };
+          emit("shard.occupancy.keys", obs::MetricKind::kGauge,
+               stats.inserts - stats.insert_failures);
+          emit("shard.insert.failures", obs::MetricKind::kCounter,
+               stats.insert_failures);
+          emit("shard.probes", obs::MetricKind::kCounter, stats.queries);
+          emit("shard.hits", obs::MetricKind::kCounter, stats.hits);
         }
       });
 }

@@ -124,8 +124,9 @@ class ShardedFilter final : public AnyFilter {
   // Attaches observability to `registry` (FilterService calls this when it
   // wraps the filter): per-shard-group batch sizes feed the
   // shard.group.keys histogram on the QueryShard/InsertShard paths, and a
-  // scrape-time collector exposes per-shard occupancy/probe/hit counters
-  // derived from the ShardStats this filter already maintains.  Deliberately
+  // scrape-time collector exposes per-shard occupancy, insert-failure, probe
+  // and hit series derived from the ShardStats this filter already
+  // maintains.  Deliberately
   // NOT called by the bare factory path, so standalone filters (bench_all's
   // scalar timing loops) carry zero instrumentation.  Detached automatically
   // in the destructor.

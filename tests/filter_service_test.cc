@@ -29,7 +29,10 @@ std::shared_ptr<ShardedFilter> MakeSharded(uint64_t capacity, uint64_t seed,
 
 TEST(FilterService, InsertAndQueryBatchesThroughFutures) {
   const uint64_t n = 100000;
-  FilterService service(MakeSharded(n, 191), {});
+  obs::MetricsRegistry registry;  // local: batch histograms count only ours
+  FilterServiceOptions options;
+  options.registry = &registry;
+  FilterService service(MakeSharded(n, 191), options);
   const auto keys = RandomKeys(n, 192);
 
   std::vector<std::future<uint64_t>> inserts;
@@ -56,12 +59,24 @@ TEST(FilterService, InsertAndQueryBatchesThroughFutures) {
   // Negative half: false positives only, at roughly the backend's rate.
   EXPECT_LT(negatives_hit, result.size() / 2 / 50);
 
-  const FilterServiceStats stats = service.stats();
-  EXPECT_EQ(stats.insert_batches, n / batch);
-  EXPECT_EQ(stats.keys_inserted, n);
-  EXPECT_EQ(stats.query_batches, 1u);
-  EXPECT_EQ(stats.keys_queried, 50000u);
+  // Key and failure totals live in the shards; batch counts and key sums in
+  // the service.batch.keys histograms.
+  const ShardStats stats = service.filter().TotalStats();
+  EXPECT_EQ(stats.inserts, n);
+  EXPECT_EQ(stats.queries, 50000u);
   EXPECT_EQ(stats.insert_failures, 0u);
+  if (!obs::kEnabled) return;  // histograms compiled out
+  const auto samples = registry.Collect();
+  const obs::MetricSample* inserted =
+      obs::FindSample(samples, "service.batch.keys", "op", "insert");
+  ASSERT_NE(inserted, nullptr);
+  EXPECT_EQ(inserted->hist.count, n / batch);
+  EXPECT_EQ(inserted->hist.sum, n);
+  const obs::MetricSample* queried =
+      obs::FindSample(samples, "service.batch.keys", "op", "query");
+  ASSERT_NE(queried, nullptr);
+  EXPECT_EQ(queried->hist.count, 1u);
+  EXPECT_EQ(queried->hist.sum, 50000u);
 }
 
 // The worker-pool path is the only one that queues, so it alone feeds the
@@ -136,7 +151,7 @@ TEST(FilterService, ManyConcurrentClients) {
   }
   for (auto& t : clients) t.join();
   EXPECT_EQ(failures.load(), 0u);
-  EXPECT_EQ(service.stats().keys_inserted, n);
+  EXPECT_EQ(service.filter().TotalStats().inserts, n);
 }
 
 TEST(FilterService, SynchronousModeWorksWithoutThreads) {
@@ -209,7 +224,7 @@ TEST(FilterService, LsmTableUsesSharedServiceAsGate) {
     ASSERT_TRUE(v.has_value()) << i;
     EXPECT_EQ(*v, i);
   }
-  EXPECT_EQ(service->stats().keys_inserted, n);
+  EXPECT_EQ(service->filter().TotalStats().inserts, n);
 
   // Absent keys short-circuit at the table gate: data accesses stay flat.
   const uint64_t accesses_before = table.DataAccesses();
@@ -257,7 +272,7 @@ TEST(FilterService, QueryBatchAsyncDeliversCallbackOffTheSubmittingThread) {
   }
   EXPECT_NE(callback_thread, std::this_thread::get_id());
   service.Drain();
-  EXPECT_EQ(service.stats().keys_queried, 4096u);
+  EXPECT_EQ(service.filter().TotalStats().queries, 4096u);
 }
 
 TEST(FilterService, QueryBatchAsyncRunsInlineWhenSynchronous) {

@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -98,24 +99,22 @@ TEST(MembershipServer, EndToEndOverEpoll) {
   WireStats stats;
   ASSERT_TRUE(client.Stats(&stats)) << client.error();
   EXPECT_EQ(stats.filter_name, "SHARD8[PF[TC]]");
-  EXPECT_EQ(stats.keys_inserted, n);
-  EXPECT_EQ(stats.keys_queried, probe.size());
   ASSERT_EQ(stats.shards.size(), 8u);
-  uint64_t shard_queries = 0, shard_inserts = 0, nonempty_shards = 0;
-  for (const auto& shard : stats.shards) {
-    shard_queries += shard.queries;
-    shard_inserts += shard.inserts;
-    nonempty_shards += shard.queries > 0;
-  }
-  EXPECT_EQ(shard_queries, probe.size());
-  EXPECT_EQ(shard_inserts, n);
+  const WireShardStats totals = SumShards(stats.shards);
+  EXPECT_EQ(totals.queries, probe.size());
+  EXPECT_EQ(totals.inserts, n);
+  EXPECT_EQ(totals.insert_failures, failures);
+  uint64_t nonempty_shards = 0;
+  for (const auto& shard : stats.shards) nonempty_shards += shard.queries > 0;
   // A 20k-key uniform batch leaves no shard idle.
   EXPECT_EQ(nonempty_shards, 8u);
 
   const ServerStats server_stats = loop.server->stats();
   EXPECT_EQ(server_stats.protocol_errors, 0u);
-  EXPECT_EQ(server_stats.queries_served, probe.size());
-  EXPECT_EQ(server_stats.inserts_served, n);
+  // Every frame the client sent was received, and answered.
+  EXPECT_EQ(server_stats.frames_received, client.frames_sent());
+  EXPECT_EQ(server_stats.frames_sent, client.frames_sent());
+  EXPECT_EQ(server_stats.connections_accepted, 1u);
 }
 
 // Blocking raw connection for tests that hand-craft byte streams.
@@ -162,7 +161,8 @@ TEST(MembershipServer, PipelinedFramesMergeIntoRouterBatches) {
   const auto keys = RandomKeys(n, 71);
   uint64_t failures = 0;
   ASSERT_TRUE(control.InsertBatch(keys.data(), keys.size(), &failures));
-  const FilterServiceStats before = loop.service->stats();
+  const uint64_t queries_before = loop.service->filter().TotalStats().queries;
+  const uint64_t merged_before = loop.server->stats().query_frames_merged;
 
   // 16 small QUERY frames shipped in ONE send: the event loop buffers the
   // whole run before decoding and merges it into (almost always one)
@@ -190,12 +190,13 @@ TEST(MembershipServer, PipelinedFramesMergeIntoRouterBatches) {
     }
   }
 
-  const ServerStats stats = loop.server->stats();
-  EXPECT_GT(stats.query_frames_merged, 0u);
-  const FilterServiceStats after = loop.service->stats();
-  EXPECT_EQ(after.keys_queried - before.keys_queried, kFrames * kKeysPerFrame);
-  // Merging collapsed the 16 frames into far fewer service batches.
-  EXPECT_LT(after.query_batches - before.query_batches, kFrames / 2);
+  EXPECT_EQ(loop.service->filter().TotalStats().queries - queries_before,
+            kFrames * kKeysPerFrame);
+  // Merging collapsed the 16 frames into far fewer service batches: each
+  // batch is one frame plus the frames merged into it, so fewer than
+  // kFrames / 2 batches means more than kFrames / 2 merged frames.
+  EXPECT_GT(loop.server->stats().query_frames_merged - merged_before,
+            kFrames / 2);
 }
 
 TEST(MembershipServer, GarbageBytesDropConnectionButServerSurvives) {
@@ -395,7 +396,8 @@ TEST(MembershipServer, HttpMetricsExposeCoreSeriesAfterTraffic) {
   EXPECT_GT(SeriesValue(body, "pf_service_exec_ns_count{op=\"query\"}"), 0);
   // Collector-backed event-loop counters and the connection gauge.
   EXPECT_GT(SeriesValue(body, "pf_net_server_bytes_in"), 0);
-  EXPECT_GT(SeriesValue(body, "pf_net_server_keys_inserted"), 0);
+  EXPECT_EQ(SeriesValue(body, "pf_service_batch_keys_sum{op=\"insert\"}"),
+            20000);
   EXPECT_GE(SeriesValue(body, "pf_net_server_connections_active"), 1);
   // Histogram exposition is well-formed: the +Inf bucket equals _count.
   EXPECT_EQ(SeriesValue(
@@ -422,12 +424,12 @@ TEST(MembershipServer, StatsCarriesCountersShardsAndMetrics) {
   WireStats stats;
   ASSERT_TRUE(client.Stats(&stats)) << client.error();
   EXPECT_EQ(stats.filter_name, "SHARD8[PF[TC]]");
-  EXPECT_EQ(stats.keys_inserted, keys.size());
-  EXPECT_EQ(stats.keys_queried, 512u);
   ASSERT_EQ(stats.shards.size(), 8u);
-  uint64_t shard_queries = 0;
-  for (const WireShardStats& s : stats.shards) shard_queries += s.queries;
-  EXPECT_EQ(shard_queries, 512u);
+  const WireShardStats totals = SumShards(stats.shards);
+  EXPECT_EQ(totals.inserts, keys.size());
+  EXPECT_EQ(totals.queries, 512u);
+  uint64_t batches = 0;
+  EXPECT_EQ(ServiceBatches(stats, "query", &batches), obs::kEnabled);
   if (!obs::kEnabled) {
     // PF_OBS=OFF: the same schema, counters only, the metrics blob empty.
     EXPECT_TRUE(stats.metrics.empty());
@@ -439,10 +441,113 @@ TEST(MembershipServer, StatsCarriesCountersShardsAndMetrics) {
   ASSERT_NE(qhist, nullptr);
   EXPECT_GT(qhist->hist.count, 0u);
   EXPECT_GT(qhist->hist.Percentile(0.99), 0.0);
+  EXPECT_EQ(batches, 1u);  // the one 512-key QUERY frame
   const obs::MetricSample* inserted =
-      obs::FindSample(stats.metrics, "net.server.keys.inserted");
+      obs::FindSample(stats.metrics, "service.batch.keys", "op", "insert");
   ASSERT_NE(inserted, nullptr);
-  EXPECT_EQ(static_cast<uint64_t>(inserted->value), keys.size());
+  EXPECT_EQ(inserted->hist.sum, keys.size());
+  const obs::MetricSample* shard_failures =
+      obs::FindSample(stats.metrics, "shard.insert.failures", "shard", "0");
+  ASSERT_NE(shard_failures, nullptr);
+  EXPECT_EQ(shard_failures->value, 0);
+}
+
+// True when the exposition declares or samples `name` (its TYPE line, or a
+// sample line of the bare name or of the name with labels).
+bool HasSeries(const std::string& body, const std::string& name) {
+  const std::string lines = "\n" + body;
+  return lines.find("\n# TYPE " + name + " ") != std::string::npos ||
+         lines.find("\n" + name + " ") != std::string::npos ||
+         lines.find("\n" + name + "{") != std::string::npos;
+}
+
+// Each quantity has one home: keys and insert failures in the shard
+// counters, batch counts and key sums in the service.batch.keys histograms,
+// frames and accepts in the per-loop counters.  No second copy is exported,
+// and the homes agree with what the client actually sent and was told.
+TEST(MembershipServer, EachQuantityIsExportedOnce) {
+  obs::MetricsRegistry registry;
+  // A rigid cuckoo backend overfilled 2x: inserts fail deterministically,
+  // so the failure accounting is exercised with nonzero values.
+  ShardedFilterOptions filter_options;
+  filter_options.num_shards = 4;
+  filter_options.backend = "CF-8";
+  auto filter = ShardedFilter::Make(4096, filter_options);
+  ASSERT_NE(filter, nullptr);
+  FilterServiceOptions service_options;
+  service_options.num_threads = 0;
+  service_options.registry = &registry;
+  auto service = std::make_shared<FilterService>(
+      std::shared_ptr<ShardedFilter>(filter.release()), service_options);
+  ServerOptions options;
+  options.enable_http = true;
+  options.registry = &registry;
+  MembershipServer server(service, options);
+  ASSERT_TRUE(server.Start()) << server.error();
+
+  MembershipClient client(ClientOptions{.port = server.port()});
+  const auto keys = RandomKeys(8192, 703);
+  uint64_t reported_failures = 0;
+  for (size_t base = 0; base < keys.size(); base += 2048) {
+    uint64_t failures = 0;
+    ASSERT_TRUE(client.InsertBatch(keys.data() + base, 2048, &failures))
+        << client.error();
+    reported_failures += failures;
+  }
+  EXPECT_GT(reported_failures, 0u) << "overfill did not exercise failures";
+  uint64_t keys_sent = 0;
+  std::vector<uint8_t> answers;
+  for (const size_t count : {1u, 16u, 300u, 4096u}) {
+    ASSERT_TRUE(client.QueryBatch(keys.data(), count, &answers))
+        << client.error();
+    keys_sent += count;
+  }
+
+  WireStats stats;
+  ASSERT_TRUE(client.Stats(&stats)) << client.error();
+  const WireShardStats totals = SumShards(stats.shards);
+  EXPECT_EQ(totals.inserts, keys.size());
+  EXPECT_EQ(totals.insert_failures, reported_failures);
+  EXPECT_EQ(totals.queries, keys_sent);
+  const ServerStats server_stats = server.stats();
+  EXPECT_EQ(server_stats.frames_received, client.frames_sent());
+
+  const std::string response = HttpExchange(
+      server.http_port(), "GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n");
+  const size_t body_at = response.find("\r\n\r\n");
+  ASSERT_NE(body_at, std::string::npos);
+  const std::string body = response.substr(body_at + 4);
+  if (!obs::kEnabled) return;  // PF_OBS=OFF: the registry is empty
+
+  // Series that would count one of these quantities a second time: none is
+  // in the STATS blob or, in its Prometheus spelling, at /metrics.
+  for (std::string deleted :
+       {"service.batches", "service.keys", "service.insert.failures",
+        "net.server.keys.inserted", "net.server.keys.queried",
+        "net.server.loop.keys"}) {
+    EXPECT_EQ(obs::FindSample(stats.metrics, deleted), nullptr) << deleted;
+    std::replace(deleted.begin(), deleted.end(), '.', '_');
+    EXPECT_FALSE(HasSeries(body, "pf_" + deleted)) << deleted;
+  }
+  double probes = 0, shard_failures = 0;
+  for (size_t s = 0; s < stats.shards.size(); ++s) {
+    const std::string label = "{shard=\"" + std::to_string(s) + "\"}";
+    probes += SeriesValue(body, "pf_shard_probes" + label);
+    shard_failures += SeriesValue(body, "pf_shard_insert_failures" + label);
+  }
+  EXPECT_EQ(probes, static_cast<double>(keys_sent));
+  EXPECT_EQ(SeriesValue(body, "pf_service_batch_keys_sum{op=\"query\"}"),
+            static_cast<double>(keys_sent));
+  EXPECT_EQ(SeriesValue(body, "pf_service_batch_keys_count{op=\"query\"}"),
+            4);
+  EXPECT_EQ(shard_failures, static_cast<double>(reported_failures));
+  // Frames and accepts: the server totals are the per-loop sums.
+  EXPECT_EQ(SeriesValue(body, "pf_net_server_frames_in"),
+            static_cast<double>(server_stats.frames_received));
+  EXPECT_EQ(SeriesValue(body, "pf_net_server_loop_frames{loop=\"0\"}"),
+            static_cast<double>(server_stats.frames_received));
+  EXPECT_EQ(SeriesValue(body, "pf_net_server_loop_connections{loop=\"0\"}"),
+            SeriesValue(body, "pf_net_server_connections_accepted"));
 }
 
 TEST(MembershipServer, HttpUnknownPathAndMethodDrawErrorStatuses) {
@@ -869,7 +974,7 @@ TEST(MembershipServer, StopDrainsInflightOffloadedWorkAndLeaksNoFds) {
     // The batch went to the pool, and Stop() drained it: the batch ran to
     // completion.
     EXPECT_EQ(server.stats().batches_offloaded, 1u);
-    EXPECT_GE(service->stats().query_batches, 1u);
+    EXPECT_EQ(service->filter().TotalStats().queries, kOffloadKeys);
   }
   // Server loops, listeners, wake pipes, pollers, and both clients are gone.
   EXPECT_EQ(CountOpenFds(), fds_before);

@@ -117,11 +117,6 @@ TEST(Protocol, StatsPayloadRoundTripsAndRejectsEveryTruncation) {
   WireStats stats;
   stats.filter_name = "SHARD16[PF[TC]]";
   stats.capacity = 1 << 20;
-  stats.insert_batches = 10;
-  stats.query_batches = 20;
-  stats.keys_inserted = 30;
-  stats.keys_queried = 40;
-  stats.insert_failures = 1;
   for (int s = 0; s < 16; ++s) {
     stats.shards.push_back(WireShardStats{
         uint64_t(s), uint64_t(s + 1), uint64_t(s + 2), uint64_t(s + 3)});
@@ -151,19 +146,24 @@ TEST(Protocol, StatsPayloadRoundTripsAndRejectsEveryTruncation) {
                                  frames[0].payload.size(), &decoded));
   EXPECT_EQ(decoded.filter_name, stats.filter_name);
   EXPECT_EQ(decoded.capacity, stats.capacity);
-  EXPECT_EQ(decoded.insert_batches, stats.insert_batches);
-  EXPECT_EQ(decoded.query_batches, stats.query_batches);
-  EXPECT_EQ(decoded.keys_inserted, stats.keys_inserted);
-  EXPECT_EQ(decoded.keys_queried, stats.keys_queried);
-  EXPECT_EQ(decoded.insert_failures, stats.insert_failures);
   ASSERT_EQ(decoded.shards.size(), stats.shards.size());
   EXPECT_EQ(decoded.shards[9].queries, stats.shards[9].queries);
+  // Totals are sums over the shards: shard s carries (s, s+1, s+2, s+3).
+  const WireShardStats totals = SumShards(decoded.shards);
+  EXPECT_EQ(totals.inserts, 120u);
+  EXPECT_EQ(totals.insert_failures, 136u);
+  EXPECT_EQ(totals.queries, 152u);
+  EXPECT_EQ(totals.hits, 168u);
   ASSERT_EQ(decoded.metrics.size(), 2u);
   EXPECT_EQ(decoded.metrics[0].name, counter.name);
   EXPECT_EQ(decoded.metrics[0].value, 99);
   EXPECT_EQ(decoded.metrics[1].labels, hist.labels);
   EXPECT_EQ(decoded.metrics[1].hist.count, 3u);
   EXPECT_EQ(decoded.metrics[1].hist.buckets, hist.hist.buckets);
+  // No service.batch.keys series in this blob: no batch count to report.
+  uint64_t batches = 7;
+  EXPECT_FALSE(ServiceBatches(decoded, "query", &batches));
+  EXPECT_EQ(batches, 7u);
 
   // Every strict prefix of the payload must be rejected, not crash or
   // partially succeed.
@@ -213,6 +213,7 @@ TEST(Protocol, DecoderRejectsBadMagicVersionLengthChecksum) {
       {0, 0xFF, DecodeStatus::kBadMagic},     // magic byte
       {4, 99, DecodeStatus::kBadVersion},     // version byte
       {4, 1, DecodeStatus::kBadVersion},      // a version-1 peer
+      {4, 2, DecodeStatus::kBadVersion},      // a version-2 peer
       {19, 0xFF, DecodeStatus::kBadLength},   // payload_len high byte
       {21, 0xFF, DecodeStatus::kBadChecksum}, // checksum byte
       {30, 0xFF, DecodeStatus::kBadChecksum}, // payload byte
