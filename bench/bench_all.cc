@@ -1,10 +1,11 @@
 // bench_all: the aggregated factory-sweep benchmark the CI perf gate runs.
 //
-// Sweeps filter configurations (src/core/filter_factory.h names) against the
-// standard workload suite (src/workload/workload.h) and writes one JSON
-// document ("BENCH.json" by default) with, per (filter x workload) cell:
-// insert and query throughput (Mops/s), chunked ns/op percentiles, bits per
-// key, exact-reproducible FPR, and a false-negative canary (must be 0).
+// Sweeps filter configurations (src/core/filter_factory.h names, plus the
+// sharded service filter "SHARD<n>[PF[TC]]") against the standard workload
+// suite (src/workload/workload.h) and writes one JSON document ("BENCH.json"
+// by default) with, per (filter x workload) cell: insert and query
+// throughput (Mops/s), chunked ns/op percentiles, bits per key,
+// exact-reproducible FPR, and a false-negative canary (must be 0).
 //
 // An extra "mixed-rw-25i" cell per filter exercises the interleaved
 // insert/query stream (25% inserts) end to end.
@@ -37,6 +38,7 @@
 #include "src/filters/cuckoo.h"
 #include "src/filters/fast_multiblock.h"
 #include "src/filters/twochoicer.h"
+#include "src/service/sharded_filter.h"
 #include "src/workload/workload.h"
 
 namespace {
@@ -45,6 +47,7 @@ namespace bench = prefixfilter::bench;
 namespace workload = prefixfilter::workload;
 using prefixfilter::AnyFilter;
 using prefixfilter::MakeFilter;
+using prefixfilter::ShardedFilter;
 
 // The default sweep: the paper's main contenders plus the sharded service
 // configuration.  (KnownFilterNames() has 16+ entries; this is the curated
@@ -55,6 +58,19 @@ const char* kDefaultFilters[] = {
     "PF[BBF-Flex]", "PF[CF12-Flex]",
     "PF[TC]",       "SHARD16[PF[TC]]",
 };
+
+// A factory configuration via MakeFilter, or the sharded service filter
+// "SHARD<n>[PF[TC]]" via ShardedFilter::Make (an AnyFilter, but not a
+// factory configuration).
+std::unique_ptr<AnyFilter> MakeSweepFilter(const std::string& name,
+                                           uint64_t capacity, uint64_t seed) {
+  prefixfilter::ShardedFilterOptions sharded;
+  sharded.seed = seed;
+  if (ShardedFilter::ParseName(name, &sharded.num_shards)) {
+    return ShardedFilter::Make(capacity, sharded);
+  }
+  return MakeFilter(name, capacity, seed);
+}
 
 // Accumulated best-of-repeats state for one (filter x workload) cell.
 //
@@ -85,7 +101,7 @@ bool RunCellOnce(const std::string& filter_name,
                  const workload::Stream& stream, const bench::Options& options,
                  bool measure_quality, Cell* cell) {
   const uint64_t n = stream.spec.num_keys;
-  auto filter = MakeFilter(filter_name, n, options.seed);
+  auto filter = MakeSweepFilter(filter_name, n, options.seed);
   if (filter == nullptr) {
     std::fprintf(stderr, "bench_all: unknown filter %s\n",
                  filter_name.c_str());
@@ -129,7 +145,8 @@ bool RunInterleavedOnce(const std::string& filter_name,
                         const workload::Stream& stream,
                         const bench::Options& options, bool measure_quality,
                         Cell* cell) {
-  auto filter = MakeFilter(filter_name, stream.spec.num_keys, options.seed);
+  auto filter =
+      MakeSweepFilter(filter_name, stream.spec.num_keys, options.seed);
   if (filter == nullptr) {
     std::fprintf(stderr, "bench_all: unknown filter %s\n",
                  filter_name.c_str());

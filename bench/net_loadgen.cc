@@ -24,7 +24,7 @@
 //
 // Usage:
 //   bench_net_loadgen [--quick] [--n-log2=L] [--seed=S] [--json=PATH]
-//                     [--connect=host:port] [--filter=NAME] [--threads=T]
+//                     [--connect=host:port] [--threads=T]
 //                     [--connections=C] [--batch=B] [--depth=D]
 //                     [--workloads=a,b,...]
 #include <cinttypes>
@@ -43,7 +43,6 @@
 #include "src/net/membership_server.h"
 #include "src/obs/metrics.h"
 #include "src/service/filter_service.h"
-#include "src/service/sharded_filter.h"
 #include "src/workload/workload.h"
 
 namespace {
@@ -52,9 +51,11 @@ namespace bench = prefixfilter::bench;
 namespace net = prefixfilter::net;
 namespace workload = prefixfilter::workload;
 
+// The self-hosted server's filter.
+constexpr const char* kFilterName = "SHARD16[PF[TC]]";
+
 struct LoadgenConfig {
   std::string connect;  // empty = self-host
-  std::string filter = "SHARD16[PF[TC]]";
   uint32_t service_threads = 0;  // self-host: 0 = serve on the event loop
   int connections = 4;
   size_t batch = 4096;
@@ -137,8 +138,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg.rfind("--connect=", 0) == 0) {
       config.connect = arg.substr(10);
-    } else if (arg.rfind("--filter=", 0) == 0) {
-      config.filter = arg.substr(9);
     } else if (arg.rfind("--threads=", 0) == 0) {
       config.service_threads =
           static_cast<uint32_t>(std::atoi(arg.c_str() + 10));
@@ -164,8 +163,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: bench_net_loadgen [--quick] [--n-log2=L] [--seed=S]\n"
-          "         [--json=PATH] [--connect=host:port] [--filter=NAME]\n"
-          "         [--threads=T] [--server-threads=N[,N...]]\n"
+          "         [--json=PATH] [--connect=host:port] [--threads=T]\n"
+          "         [--server-threads=N[,N...]]\n"
           "         [--connections=C] [--batch=B] [--depth=D]\n"
           "         [--workloads=a,b,...] [--record-frames=DIR]\n"
           "         [--trace-sample=RATE]\n"
@@ -237,11 +236,10 @@ int main(int argc, char** argv) {
   if (config.connect.empty()) {
     prefixfilter::FilterServiceOptions service_options;
     service_options.num_threads = config.service_threads;
-    service = prefixfilter::MakeFilterService(config.filter, n,
+    service = prefixfilter::MakeFilterService(kFilterName, n,
                                               service_options, options.seed);
     if (service == nullptr) {
-      std::fprintf(stderr, "net_loadgen: unknown filter %s\n",
-                   config.filter.c_str());
+      std::fprintf(stderr, "net_loadgen: cannot build %s\n", kFilterName);
       return 2;
     }
     net::ServerOptions server_options;
@@ -254,7 +252,7 @@ int main(int argc, char** argv) {
     }
     client_options.port = server->port();
     std::printf("net_loadgen: self-hosted %s on 127.0.0.1:%u (%u loop%s)\n",
-                config.filter.c_str(), client_options.port,
+                kFilterName, client_options.port,
                 server->num_loops(),
                 server->num_loops() == 1 ? "" : "s");
   } else {
@@ -541,7 +539,7 @@ int main(int argc, char** argv) {
       prefixfilter::FilterServiceOptions sweep_service_options;
       sweep_service_options.num_threads = config.service_threads;
       auto sweep_service = prefixfilter::MakeFilterService(
-          config.filter, n, sweep_service_options, options.seed);
+          kFilterName, n, sweep_service_options, options.seed);
       net::ServerOptions sweep_server_options;
       sweep_server_options.num_loops = loops;
       net::MembershipServer sweep_server(sweep_service, sweep_server_options);

@@ -101,7 +101,6 @@ int main(int argc, char** argv) {
   for (uint32_t shards : shard_counts) {
     ShardedFilterOptions sharded_options;
     sharded_options.num_shards = shards;
-    sharded_options.backend = "PF[TC]";
     sharded_options.seed = options.seed;
     auto filter = ShardedFilter::Make(n, sharded_options);
     if (filter == nullptr) {
@@ -174,7 +173,6 @@ int main(int argc, char** argv) {
   {
     ShardedFilterOptions sharded_options;
     sharded_options.num_shards = 16;
-    sharded_options.backend = "PF[TC]";
     sharded_options.seed = options.seed;
     auto sharded = ShardedFilter::Make(n, sharded_options);
     auto inner = prefixfilter::MakeFilter("PF[TC]", n, options.seed);

@@ -8,9 +8,9 @@
 //     users, check memberships, STATS, snapshot/restore), verifies the
 //     restored service answers identically, and exits.
 //
-//   build/example_membership_server --serve [--port=P] [--filter=NAME]
-//       [--capacity=N] [--threads=T] [--loops=N] [--http-port=P]
-//       [--trace-sample=RATE] [--trace-slow-ms=MS]
+//   build/example_membership_server --serve [--port=P] [--capacity=N]
+//       [--threads=T] [--loops=N] [--http-port=P] [--trace-sample=RATE]
+//       [--trace-slow-ms=MS]
 //     Long-running server for external clients (bench_net_loadgen, the CI
 //     loopback smoke leg).  Prints "listening on 127.0.0.1:<port>" once
 //     ready and serves until SIGINT/SIGTERM.  --http-port additionally
@@ -41,28 +41,29 @@ namespace {
 
 using prefixfilter::FilterService;
 using prefixfilter::FilterServiceOptions;
-using prefixfilter::ShardedFilter;
-using prefixfilter::ShardedFilterOptions;
 namespace net = prefixfilter::net;
 
-std::shared_ptr<FilterService> MakeService(const std::string& filter_name,
-                                           uint64_t capacity,
+// The served filter: 16 prefix-filter shards.
+constexpr const char* kFilterName = "SHARD16[PF[TC]]";
+
+std::shared_ptr<FilterService> MakeService(uint64_t capacity,
                                            uint32_t service_threads) {
   FilterServiceOptions options;
   options.num_threads = service_threads;
   // Shared name-to-service bootstrap (src/service/filter_service.h).
-  return prefixfilter::MakeFilterService(filter_name, capacity, options);
+  return prefixfilter::MakeFilterService(kFilterName, capacity, options);
 }
 
 volatile std::sig_atomic_t g_stop = 0;
 void OnSignal(int) { g_stop = 1; }
 
-int Serve(const std::string& filter_name, uint64_t capacity, uint16_t port,
-          uint32_t service_threads, uint32_t loops, bool enable_http,
-          uint16_t http_port, double trace_sample, double trace_slow_ms) {
-  auto service = MakeService(filter_name, capacity, service_threads);
+int Serve(uint64_t capacity, uint16_t port, uint32_t service_threads,
+          uint32_t loops, bool enable_http, uint16_t http_port,
+          double trace_sample, double trace_slow_ms) {
+  auto service = MakeService(capacity, service_threads);
   if (service == nullptr) {
-    std::fprintf(stderr, "unknown filter: %s\n", filter_name.c_str());
+    std::fprintf(stderr, "cannot build %s with capacity %" PRIu64 "\n",
+                 kFilterName, capacity);
     return 2;
   }
   net::ServerOptions options;
@@ -80,7 +81,7 @@ int Serve(const std::string& filter_name, uint64_t capacity, uint16_t port,
   }
   std::printf("membership_server: %s (capacity %" PRIu64
               ", %u shards, %u loop%s) listening on 127.0.0.1:%u\n",
-              filter_name.c_str(), capacity, service->filter().num_shards(),
+              kFilterName, capacity, service->filter().num_shards(),
               server.num_loops(),
               server.num_loops() == 1 ? "" : "s",
               server.port());
@@ -123,8 +124,7 @@ int Demo() {
   // A service sized for 4M users, partitioned over 16 prefix-filter shards,
   // fronted by a real TCP server on an ephemeral loopback port.
   const uint64_t capacity = 4'000'000;
-  auto service =
-      MakeService("SHARD16[PF[TC]]", capacity, /*service_threads=*/0);
+  auto service = MakeService(capacity, /*service_threads=*/0);
   net::MembershipServer server(service);
   if (!server.Start()) {
     std::fprintf(stderr, "server start failed: %s\n", server.error().c_str());
@@ -230,7 +230,6 @@ int Demo() {
 int main(int argc, char** argv) {
   bool serve = false;
   uint16_t port = 0;
-  std::string filter = "SHARD16[PF[TC]]";
   uint64_t capacity = 4'000'000;
   uint32_t service_threads = 0;
   uint32_t loops = 1;
@@ -244,8 +243,6 @@ int main(int argc, char** argv) {
       serve = true;
     } else if (arg.rfind("--port=", 0) == 0) {
       port = static_cast<uint16_t>(std::atoi(arg.c_str() + 7));
-    } else if (arg.rfind("--filter=", 0) == 0) {
-      filter = arg.substr(9);
     } else if (arg.rfind("--capacity=", 0) == 0) {
       capacity = std::strtoull(arg.c_str() + 11, nullptr, 0);
     } else if (arg.rfind("--threads=", 0) == 0) {
@@ -262,8 +259,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: example_membership_server [--serve] [--port=P]\n"
-          "         [--filter=NAME] [--capacity=N] [--threads=T]\n"
-          "         [--loops=N] [--http-port=P] [--trace-sample=RATE]\n"
+          "         [--capacity=N] [--threads=T] [--loops=N]\n"
+          "         [--http-port=P] [--trace-sample=RATE]\n"
           "         [--trace-slow-ms=MS]\n"
           "Without --serve, runs the self-contained loopback demo.\n"
           "--loops=N serves on N SO_REUSEPORT event loops; --threads=T\n"
@@ -278,7 +275,7 @@ int main(int argc, char** argv) {
     }
   }
   if (serve) {
-    return Serve(filter, capacity, port, service_threads, loops, enable_http,
+    return Serve(capacity, port, service_threads, loops, enable_http,
                  http_port, trace_sample, trace_slow_ms);
   }
   return Demo();

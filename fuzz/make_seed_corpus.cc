@@ -26,6 +26,7 @@
 #include "src/obs/exposition.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/service/sharded_filter.h"
 
 namespace fs = std::filesystem;
 namespace net = prefixfilter::net;
@@ -272,6 +273,19 @@ void MakeDeserializeFilterSeeds(const fs::path& dir) {
       if (c == '[' || c == ']' || c == '-') c = '_';
     }
     WriteSeed(dir, file + ".bin", bytes);
+  }
+
+  // The sharded service snapshot (FilterService::Restore's input), which
+  // is not a factory configuration.
+  auto sharded = prefixfilter::ShardedFilter::Make(
+      1u << 10, {.num_shards = 16, .seed = 42});
+  std::vector<uint8_t> sharded_bytes;
+  if (sharded && sharded->InsertBatch(keys.data(), keys.size()) == 0 &&
+      sharded->SerializeTo(&sharded_bytes)) {
+    WriteSeed(dir, "SHARD16_PF_TC__.bin", sharded_bytes);
+  } else {
+    std::fprintf(stderr, "fuzz_make_seeds: SHARD16[PF[TC]] failed\n");
+    ++g_failures;
   }
 
   // Envelope-level error seeds.

@@ -9,13 +9,6 @@
 #include "src/filters/fast_multiblock.h"
 #include "src/filters/cuckoo.h"
 #include "src/filters/twochoicer.h"
-// Deliberate .cc-level reach into src/service/ for the SHARD<n>[...] names:
-// the headers stay acyclic (service includes core, never the reverse), and
-// the alternative — a static-init registration hook — silently breaks in a
-// static library, where the linker drops sharded_filter.o (and its
-// registrar) from any binary that names sharded configs without referencing
-// a service symbol directly.
-#include "src/service/sharded_filter.h"
 #include "src/util/serialize.h"
 
 namespace prefixfilter {
@@ -88,14 +81,16 @@ std::unique_ptr<AnyFilter> Rewrap(const uint8_t* payload, size_t len,
   return Wrap(std::move(*filter), factory_name);
 }
 
-}  // namespace
-
-// "PF[CF-12-Flex]" is accepted as an alias: the spare traits' own tag is
-// "CF12-Flex" (see src/core/spare.h), which is what Name() reports.
+// Maps accepted alias spellings to the canonical name MakeFilter stores and
+// snapshots are tagged with.  "PF[CF-12-Flex]" is the one alias: the spare
+// traits' own tag is "CF12-Flex" (see src/core/spare.h), which is what
+// Name() reports.
 std::string CanonicalFilterName(const std::string& name) {
   if (name == "PF[CF-12-Flex]") return "PF[CF12-Flex]";
   return name;
 }
+
+}  // namespace
 
 std::unique_ptr<AnyFilter> MakeFilter(const std::string& raw_name,
                                       uint64_t capacity, uint64_t seed) {
@@ -139,12 +134,6 @@ std::unique_ptr<AnyFilter> MakeFilter(const std::string& raw_name,
   if (name == "PF[TC]") {
     return Wrap(PrefixFilter<SpareTcTraits>(capacity, pf_options), name);
   }
-  // "SHARD<n>[<inner>]": hash-partitioned sharded filter over any
-  // non-sharded inner configuration (src/service/sharded_filter.h).
-  if (ShardedFilterOptions parsed; ShardedFilter::ParseName(name, &parsed)) {
-    parsed.seed = seed;
-    return ShardedFilter::Make(capacity, parsed);
-  }
   return nullptr;
 }
 
@@ -152,7 +141,7 @@ std::vector<std::string> KnownFilterNames() {
   return {"CF-8",  "CF-8-Flex",  "CF-12",    "CF-12-Flex",    "CF-16",
           "CF-16-Flex", "PF[BBF-Flex]", "PF[CF12-Flex]", "PF[TC]",
           "BBF",   "BBF-Flex",   "FMB32",    "FMB64",         "BF-8",
-          "BF-12", "BF-16",      "TC",       "SHARD16[PF[TC]]"};
+          "BF-12", "BF-16",      "TC"};
 }
 
 void WriteFilterEnvelope(const std::string& factory_name,
@@ -201,9 +190,6 @@ std::unique_ptr<AnyFilter> DeserializeFilter(const uint8_t* data, size_t len) {
   }
   if (name == "PF[TC]") {
     return Rewrap<PrefixFilter<SpareTcTraits>>(payload, payload_len, name);
-  }
-  if (ShardedFilterOptions parsed; ShardedFilter::ParseName(name, &parsed)) {
-    return ShardedFilter::DeserializePayload(payload, payload_len, parsed);
   }
   return nullptr;
 }

@@ -1,10 +1,10 @@
 // Type-erased filter interface and by-name factory.
 //
 // The benchmarks use concrete filter types (templates, no virtual dispatch
-// in timing loops); the examples, the LSM substrate, and the sharded filter
-// service want to switch filter implementations at run time.  AnyFilter
-// wraps every filter in this library behind a uniform incremental-filter
-// interface, including batched queries and a name-tagged wire format.
+// in timing loops); the examples and the LSM substrate want to switch
+// filter implementations at run time.  AnyFilter wraps every filter in this
+// library behind a uniform incremental-filter interface, including batched
+// queries and a name-tagged wire format.
 #ifndef PREFIXFILTER_SRC_CORE_FILTER_FACTORY_H_
 #define PREFIXFILTER_SRC_CORE_FILTER_FACTORY_H_
 
@@ -52,25 +52,14 @@ class AnyFilter {
   virtual bool Contains(uint64_t key) const = 0;
 
   // Batched membership: out[i] = 1 if keys[i] may be present, else 0.
-  // The factory adapter always overrides this with a concrete loop (one
-  // virtual dispatch per batch, not per key); this default exists only for
-  // AnyFilter implementations outside the factory.
+  // Implementations run a concrete loop: one virtual dispatch per batch,
+  // not per key.
   virtual void ContainsBatch(const uint64_t* keys, size_t count,
-                             uint8_t* out) const {
-    for (size_t i = 0; i < count; ++i) out[i] = Contains(keys[i]) ? 1 : 0;
-  }
+                             uint8_t* out) const = 0;
 
   // Batched insert: returns the number of FAILED inserts (0 == every key
-  // absorbed), matching the sharded filter / service / wire-protocol
-  // convention.  Same devirtualization story as ContainsBatch: the adapter
-  // overrides with a concrete loop, one dispatch per batch.
-  virtual uint64_t InsertBatch(const uint64_t* keys, size_t count) {
-    uint64_t failures = 0;
-    for (size_t i = 0; i < count; ++i) {
-      failures += !Insert(keys[i]);
-    }
-    return failures;
-  }
+  // absorbed), the service and wire-protocol convention.
+  virtual uint64_t InsertBatch(const uint64_t* keys, size_t count) = 0;
 
   // Appends a self-describing snapshot (envelope: magic + factory name +
   // payload) that DeserializeFilter() can restore without knowing the
@@ -92,10 +81,6 @@ class AnyFilter {
 //                  "CF-16-Flex"
 //   Others:        "TC"
 //   Prefix filter: "PF[BBF-Flex]", "PF[CF12-Flex]", "PF[TC]"
-//   Sharded:       "SHARD<n>[<inner>]" for any power-of-two n <= 4096 and
-//                  accepted non-sharded inner name, e.g. "SHARD16[PF[TC]]"
-//                  (hash-partitioned over n independently-locked shards;
-//                  see src/service/).
 // The prefix-filter spare tag "CF12-Flex" (no dash, the spare's own Name())
 // intentionally differs from the standalone "CF-12-Flex"; the alias
 // "PF[CF-12-Flex]" is accepted and canonicalized to "PF[CF12-Flex]".
@@ -103,23 +88,18 @@ class AnyFilter {
 std::unique_ptr<AnyFilter> MakeFilter(const std::string& name,
                                       uint64_t capacity, uint64_t seed = 42);
 
-// All configuration names MakeFilter understands, in Table 3 order, plus the
-// sharded-service configurations (aliases omitted).
+// All configuration names MakeFilter understands, in Table 3 order (aliases
+// omitted).
 std::vector<std::string> KnownFilterNames();
-
-// Maps accepted alias spellings to the canonical name MakeFilter stores and
-// snapshots are tagged with (currently "PF[CF-12-Flex]" -> "PF[CF12-Flex]");
-// canonical names pass through unchanged.
-std::string CanonicalFilterName(const std::string& name);
 
 // Restores a filter from an AnyFilter::SerializeTo image.  Returns nullptr
 // on unknown names, corrupted headers, or payload/type mismatches.
 std::unique_ptr<AnyFilter> DeserializeFilter(const uint8_t* data, size_t len);
 
 // Every AnyFilter snapshot starts with this envelope: magic, format version,
-// then the length-prefixed factory configuration name, then the concrete
-// filter's own payload.  Exposed for implementations (e.g. ShardedFilter)
-// that write their envelope themselves.
+// then the length-prefixed configuration name, then the concrete filter's
+// own payload.  Exposed for AnyFilter implementations outside the factory
+// that write and read their envelope themselves.
 inline constexpr uint32_t kAnyFilterMagic = 0x50464145;  // "PFAE"
 void WriteFilterEnvelope(const std::string& factory_name,
                          std::vector<uint8_t>* out);

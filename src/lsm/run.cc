@@ -20,8 +20,11 @@ Run::Run(std::vector<std::pair<uint64_t, uint64_t>> entries,
   }
   if (!filter_name.empty() && !keys_.empty()) {
     filter_ = MakeFilter(filter_name, keys_.size(), seed);
-    if (filter_ != nullptr) {
-      for (uint64_t k : keys_) filter_->Insert(k);
+    // A filter that failed to absorb a key would answer false negatives, so
+    // the run goes filterless instead (Table's service gate does the same).
+    if (filter_ != nullptr &&
+        filter_->InsertBatch(keys_.data(), keys_.size()) != 0) {
+      filter_ = nullptr;
     }
   }
 }

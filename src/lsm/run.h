@@ -25,7 +25,8 @@ class Run {
  public:
   // Builds a run from entries (sorted by key internally; duplicate keys keep
   // the last value).  A filter of configuration `filter_name` is built over
-  // the keys; an empty name disables filtering (every Get probes the data).
+  // the keys; an empty name, or a filter that fails any insert, disables
+  // filtering (every Get probes the data).
   Run(std::vector<std::pair<uint64_t, uint64_t>> entries,
       const std::string& filter_name, uint64_t seed);
 

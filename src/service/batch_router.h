@@ -5,10 +5,9 @@
 // prefetching batch path inside each shard.  The router restores both
 // properties: it counting-sorts a batch by destination shard (two linear
 // passes, no comparisons), drains each shard group with ONE lock acquisition
-// through AnyFilter::ContainsBatch — for prefix-filter backends that is the
-// software-prefetching loop that keeps the paper's one-cache-miss-per-query
-// property across a whole group — and scatters results back into the
-// caller's order.
+// through the shard's PF[TC] ContainsBatch — the software-prefetching loop
+// that keeps the paper's one-cache-miss-per-query property across a whole
+// group — and scatters results back into the caller's order.
 //
 // A router instance owns reusable scratch buffers and is therefore NOT
 // thread-safe; give each worker thread its own (they are cheap and grow to

@@ -191,11 +191,7 @@ bool FilterService::Snapshot(std::vector<uint8_t>* out) {
 
 std::shared_ptr<ShardedFilter> FilterService::Restore(const uint8_t* data,
                                                       size_t len) {
-  std::unique_ptr<AnyFilter> any = DeserializeFilter(data, len);
-  auto* sharded = dynamic_cast<ShardedFilter*>(any.get());
-  if (sharded == nullptr) return nullptr;
-  any.release();
-  return std::shared_ptr<ShardedFilter>(sharded);
+  return ShardedFilter::Deserialize(data, len);
 }
 
 void FilterService::SetQueryFaultHookForTesting(
@@ -227,15 +223,14 @@ std::shared_ptr<FilterService> MakeFilterService(
     const std::string& filter_name, uint64_t capacity,
     FilterServiceOptions options, uint64_t seed) {
   ShardedFilterOptions sharded;
-  if (!ShardedFilter::ParseName(filter_name, &sharded)) {
-    sharded.num_shards = 1;
-    sharded.backend = filter_name;
-  }
   sharded.seed = seed;
-  auto filter = ShardedFilter::Make(capacity, sharded);
+  if (!ShardedFilter::ParseName(filter_name, &sharded.num_shards)) {
+    return nullptr;
+  }
+  std::shared_ptr<ShardedFilter> filter =
+      ShardedFilter::Make(capacity, sharded);
   if (filter == nullptr) return nullptr;
-  return std::make_shared<FilterService>(
-      std::shared_ptr<ShardedFilter>(filter.release()), options);
+  return std::make_shared<FilterService>(std::move(filter), options);
 }
 
 }  // namespace prefixfilter

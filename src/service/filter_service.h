@@ -110,7 +110,8 @@ class FilterService {
       PF_EXCLUDES(mutex_, snapshot_mutex_);
 
   // Restores the sharded filter from a Snapshot() image (nullptr on
-  // corruption or non-sharded images); wrap it in a new FilterService.
+  // corruption or non-sharded images; see ShardedFilter::Deserialize); wrap
+  // it in a new FilterService.
   static std::shared_ptr<ShardedFilter> Restore(const uint8_t* data,
                                                 size_t len);
 
@@ -193,11 +194,11 @@ class FilterService {
   obs::LatencyHistogram* query_batch_keys_hist_;
 };
 
-// Builds a FilterService for any factory filter name: "SHARD<n>[<inner>]"
-// configures the sharding, every other accepted name runs as a single-shard
-// service.  The shared bootstrap of the membership-server example and the
-// network load generator — one spelling of the name-to-service rule.
-// Returns nullptr for unknown names.
+// Builds a FilterService over a ShardedFilter named "SHARD<n>[PF[TC]]" (n a
+// power of two <= 4096), the name STATS reports back as filter_name.  The
+// shared bootstrap of the membership-server example, the network load
+// generator and perfbench — one spelling of the name-to-service rule.
+// Returns nullptr for any other name.
 std::shared_ptr<FilterService> MakeFilterService(
     const std::string& filter_name, uint64_t capacity,
     FilterServiceOptions options = {},

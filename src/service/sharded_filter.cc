@@ -14,20 +14,24 @@ namespace prefixfilter {
 namespace {
 
 constexpr uint32_t kMaxShards = 1 << 12;
-// Bounds on constructor/snapshot inputs so the per-shard capacity math stays
-// inside the exactly-representable double range (the double->uint64 cast in
-// PerShardCapacity is undefined past 2^64; crafted snapshot fields must be
-// rejected, not cast).
+// Bound on constructor/snapshot capacities so the per-shard capacity math
+// stays inside the exactly-representable double range (the double->uint64
+// cast in PerShardCapacity is undefined past 2^64; crafted snapshot fields
+// must be rejected, not cast).
 constexpr uint64_t kMaxCapacity = uint64_t{1} << 48;
-constexpr double kMaxHeadroomStddevs = 64.0;
+// Balls-into-bins slack: per-shard capacity is
+//   n/N + kHeadroomStddevs * sqrt(n * (1/N) * (1 - 1/N)) + 16.
+constexpr double kHeadroomStddevs = 4.0;
+constexpr uint8_t kSnapshotVersion = 2;
+// Name() is "SHARD<n>" followed by this.
+constexpr char kShardSuffix[] = "[PF[TC]]";
 
-uint64_t PerShardCapacity(uint64_t capacity, uint32_t num_shards,
-                          double headroom_stddevs) {
+uint64_t PerShardCapacity(uint64_t capacity, uint32_t num_shards) {
   const double p = 1.0 / num_shards;
   const double mean = static_cast<double>(capacity) * p;
   const double stddev =
       std::sqrt(static_cast<double>(capacity) * p * (1.0 - p));
-  return static_cast<uint64_t>(std::ceil(mean + headroom_stddevs * stddev)) +
+  return static_cast<uint64_t>(std::ceil(mean + kHeadroomStddevs * stddev)) +
          16;
 }
 
@@ -39,61 +43,40 @@ BatchRouter& ThreadLocalRouter() {
   return router;
 }
 
-// Peeks the factory name out of an AnyFilter envelope without consuming it.
-std::string PeekEnvelopeName(const uint8_t* data, size_t len) {
-  ByteReader r(data, len);
-  if (r.U32() != kAnyFilterMagic || r.U8() != 1) return std::string();
-  std::string name = r.Str();
-  return r.ok() ? name : std::string();
-}
-
 }  // namespace
 
-ShardedFilter::ShardedFilter(uint64_t capacity, ShardedFilterOptions options)
+ShardedFilter::ShardedFilter(uint64_t capacity, uint32_t num_shards,
+                             uint64_t seed)
     : capacity_(capacity),
-      options_(std::move(options)),
-      num_shards_(static_cast<uint32_t>(
-          NextPow2(std::max<uint32_t>(1, options_.num_shards)))),
+      seed_(seed),
+      num_shards_(num_shards),
       shard_bits_(num_shards_ == 1 ? 0 : HighestSetBit64(num_shards_)),
-      shard_salt_(Mix64(options_.seed ^ 0x5a4d9b4cf1e273a1ULL)),
-      per_shard_capacity_(
-          PerShardCapacity(capacity, num_shards_, options_.headroom_stddevs)) {
-  options_.num_shards = num_shards_;
+      shard_salt_(Mix64(seed ^ 0x5a4d9b4cf1e273a1ULL)),
+      per_shard_capacity_(PerShardCapacity(capacity, num_shards_)) {
   shards_.reserve(num_shards_);
-  for (uint32_t s = 0; s < num_shards_; ++s) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
 }
 
 std::unique_ptr<ShardedFilter> ShardedFilter::Make(
     uint64_t capacity, ShardedFilterOptions options) {
-  options.backend = CanonicalFilterName(options.backend);
-  if (options.backend.rfind("SHARD", 0) == 0 || options.num_shards == 0 ||
-      options.num_shards > kMaxShards || capacity == 0 ||
-      capacity > kMaxCapacity || !(options.headroom_stddevs >= 0.0) ||
-      options.headroom_stddevs > kMaxHeadroomStddevs) {
+  if (options.num_shards == 0 || options.num_shards > kMaxShards ||
+      capacity == 0 || capacity > kMaxCapacity) {
     return nullptr;
   }
-  auto filter = std::unique_ptr<ShardedFilter>(
-      new ShardedFilter(capacity, std::move(options)));
+  auto filter = std::unique_ptr<ShardedFilter>(new ShardedFilter(
+      capacity, static_cast<uint32_t>(NextPow2(options.num_shards)),
+      options.seed));
+  PrefixFilterOptions shard_options;
   for (uint32_t s = 0; s < filter->num_shards_; ++s) {
     // Independent per-shard seeds: each shard is a fully independent filter
     // (independent hash functions), as if it served its slice alone.
-    const uint64_t shard_seed =
-        filter->options_.seed ^ Mix64(filter->shard_salt_ + s);
-    // The filter is not yet published, so the lock is uncontended; taking it
-    // anyway satisfies the guarded_by proof without an analysis exception.
-    Shard& shard = *filter->shards_[s];
-    MutexLock guard(shard.mutex);
-    shard.filter = MakeFilter(filter->options_.backend,
-                              filter->per_shard_capacity_, shard_seed);
-    if (shard.filter == nullptr) return nullptr;
+    shard_options.seed = filter->seed_ ^ Mix64(filter->shard_salt_ + s);
+    filter->shards_.push_back(std::make_unique<Shard>(
+        ShardFilter(filter->per_shard_capacity_, shard_options)));
   }
   return filter;
 }
 
-bool ShardedFilter::ParseName(const std::string& name,
-                              ShardedFilterOptions* options) {
+bool ShardedFilter::ParseName(const std::string& name, uint32_t* num_shards) {
   constexpr char kPrefix[] = "SHARD";
   constexpr size_t kPrefixLen = sizeof(kPrefix) - 1;
   if (name.rfind(kPrefix, 0) != 0) return false;
@@ -107,21 +90,11 @@ bool ShardedFilter::ParseName(const std::string& name,
   // Power-of-two counts only: rounding here would make Name() differ from
   // the configuration name the filter was requested by, silently breaking
   // every registry keyed on the factory name.
-  if (i == kPrefixLen || shards == 0 || (shards & (shards - 1)) != 0) {
+  if (i == kPrefixLen || shards == 0 || (shards & (shards - 1)) != 0 ||
+      name.compare(i, std::string::npos, kShardSuffix) != 0) {
     return false;
   }
-  if (i >= name.size() || name[i] != '[') return false;
-  if (name.back() != ']') return false;
-  // Canonicalize the inner name here so Name(), shard construction, and the
-  // per-shard snapshot envelopes all agree on one spelling (a snapshot
-  // written under an alias backend would otherwise never restore: shard
-  // blobs are tagged canonically while DeserializePayload compares against
-  // the parsed backend string).
-  const std::string inner =
-      CanonicalFilterName(name.substr(i + 1, name.size() - i - 2));
-  if (inner.empty() || inner.rfind(kPrefix, 0) == 0) return false;
-  options->num_shards = static_cast<uint32_t>(shards);
-  options->backend = inner;
+  *num_shards = static_cast<uint32_t>(shards);
   return true;
 }
 
@@ -129,7 +102,7 @@ bool ShardedFilter::Insert(uint64_t key) {
   Shard& shard = *shards_[ShardOf(key)];
   MutexLock guard(shard.mutex);
   ++shard.stats.inserts;
-  if (shard.filter->Insert(key)) return true;
+  if (shard.filter.Insert(key)) return true;
   ++shard.stats.insert_failures;
   return false;
 }
@@ -138,7 +111,7 @@ bool ShardedFilter::Contains(uint64_t key) const {
   Shard& shard = *shards_[ShardOf(key)];
   MutexLock guard(shard.mutex);
   ++shard.stats.queries;
-  const bool hit = shard.filter->Contains(key);
+  const bool hit = shard.filter.Contains(key);
   shard.stats.hits += hit;
   return hit;
 }
@@ -166,11 +139,6 @@ void ShardedFilter::ContainsBatch(const uint64_t* keys, size_t count,
 
 void ShardedFilter::QueryShard(uint32_t shard_index, const uint64_t* keys,
                                size_t count, uint8_t* out) const {
-  // Per-shard group size: how many keys of a routed batch landed together
-  // (the distribution that tells whether counting-sort grouping is paying
-  // off).  A null histogram (metrics not enabled) costs one predictable
-  // branch.
-  if (group_keys_hist_ != nullptr) group_keys_hist_->Record(count);
   // Traced requests record one span per shard group probed, including the
   // wait for the shard lock (lock contention is exactly what a slow-request
   // timeline needs to show).  Picked up through the thread-local so the
@@ -180,7 +148,7 @@ void ShardedFilter::QueryShard(uint32_t shard_index, const uint64_t* keys,
   {
     Shard& shard = *shards_[shard_index];
     MutexLock guard(shard.mutex);
-    shard.filter->ContainsBatch(keys, count, out);
+    shard.filter.ContainsBatch(keys, count, out);
     shard.stats.queries += count;
     uint64_t hits = 0;
     for (size_t i = 0; i < count; ++i) hits += out[i];
@@ -196,13 +164,11 @@ void ShardedFilter::QueryShard(uint32_t shard_index, const uint64_t* keys,
 
 uint64_t ShardedFilter::InsertShard(uint32_t shard_index,
                                     const uint64_t* keys, size_t count) {
-  if (group_keys_hist_ != nullptr) group_keys_hist_->Record(count);
   Shard& shard = *shards_[shard_index];
   MutexLock guard(shard.mutex);
   shard.stats.inserts += count;
-  // One devirtualized batch call per shard group: the adapter's concrete
-  // insert loop runs under the lock instead of count virtual Inserts.
-  const uint64_t failures = shard.filter->InsertBatch(keys, count);
+  uint64_t failures = 0;
+  for (size_t i = 0; i < count; ++i) failures += !shard.filter.Insert(keys[i]);
   shard.stats.insert_failures += failures;
   return failures;
 }
@@ -223,54 +189,44 @@ uint64_t ShardedFilter::InsertBatch(const uint64_t* keys, size_t count) {
 bool ShardedFilter::SerializeTo(std::vector<uint8_t>* out) const {
   WriteFilterEnvelope(Name(), out);
   ByteWriter w(out);
-  w.U8(1);  // sharded payload version
+  w.U8(kSnapshotVersion);
   w.U32(num_shards_);
   w.U64(capacity_);
-  w.U64(options_.seed);
-  w.F64(options_.headroom_stddevs);
-  w.Str(options_.backend);
+  w.U64(seed_);
   std::vector<uint8_t> blob;
-  for (uint32_t s = 0; s < num_shards_; ++s) {
-    Shard& shard = *shards_[s];
+  for (const auto& shard : shards_) {
     blob.clear();
-    MutexLock guard(shard.mutex);
-    if (!shard.filter->SerializeTo(&blob)) return false;
-    w.U64(shard.stats.inserts);
-    w.U64(shard.stats.insert_failures);
-    w.U64(shard.stats.queries);
-    w.U64(shard.stats.hits);
+    MutexLock guard(shard->mutex);
+    shard->filter.SerializeTo(&blob);
+    w.U64(shard->stats.inserts);
+    w.U64(shard->stats.insert_failures);
+    w.U64(shard->stats.queries);
+    w.U64(shard->stats.hits);
     w.U64(blob.size());
     w.Raw(blob.data(), blob.size());
   }
   return true;
 }
 
-std::unique_ptr<AnyFilter> ShardedFilter::DeserializePayload(
-    const uint8_t* payload, size_t len, const ShardedFilterOptions& options) {
-  ByteReader r(payload, len);
-  if (r.U8() != 1) return nullptr;
+std::unique_ptr<ShardedFilter> ShardedFilter::Deserialize(const uint8_t* data,
+                                                          size_t len) {
+  ByteReader r(data, len);
+  uint32_t named_shards = 0;
+  if (r.U32() != kAnyFilterMagic || r.U8() != 1 ||
+      !ParseName(r.Str(), &named_shards) || r.U8() != kSnapshotVersion) {
+    return nullptr;
+  }
   const uint32_t num_shards = r.U32();
   const uint64_t capacity = r.U64();
   const uint64_t seed = r.U64();
-  const double headroom = r.F64();
-  const std::string backend = r.Str();
-  // The payload geometry must agree with the envelope name it was filed
-  // under (the name encodes shard count and backend).
+  // The payload geometry must agree with the shard count the envelope name
+  // was filed under.
   if (!r.ok() || capacity == 0 || capacity > kMaxCapacity ||
-      num_shards != options.num_shards ||
-      (num_shards & (num_shards - 1)) != 0 || backend != options.backend ||
-      !(headroom >= 0.0) || headroom > kMaxHeadroomStddevs ||
-      backend.rfind("SHARD", 0) == 0) {
+      num_shards != named_shards) {
     return nullptr;
   }
-  ShardedFilterOptions restored_options;
-  restored_options.num_shards = num_shards;
-  restored_options.backend = backend;
-  restored_options.seed = seed;
-  restored_options.headroom_stddevs = headroom;
   auto filter = std::unique_ptr<ShardedFilter>(
-      new ShardedFilter(capacity, std::move(restored_options)));
-  if (filter->num_shards_ != num_shards) return nullptr;
+      new ShardedFilter(capacity, num_shards, seed));
   for (uint32_t s = 0; s < num_shards; ++s) {
     ShardStats stats;
     stats.inserts = r.U64();
@@ -279,16 +235,19 @@ std::unique_ptr<AnyFilter> ShardedFilter::DeserializePayload(
     stats.hits = r.U64();
     const uint64_t blob_len = r.U64();
     if (!r.ok() || blob_len > r.remaining()) return nullptr;
-    const uint8_t* blob = payload + (len - r.remaining());
-    // Each shard blob must be an envelope for the declared backend; a valid
-    // envelope of a *different* configuration is corruption, not a shard.
-    if (PeekEnvelopeName(blob, blob_len) != backend) return nullptr;
+    auto shard_filter =
+        ShardFilter::Deserialize(data + (len - r.remaining()), blob_len);
+    // A shard of another geometry is corruption, not a shard.
+    if (!shard_filter.has_value() ||
+        shard_filter->capacity() != filter->per_shard_capacity_) {
+      return nullptr;
+    }
+    filter->shards_.push_back(std::make_unique<Shard>(std::move(*shard_filter)));
     {
-      // Unpublished filter: uncontended lock, same reasoning as Make().
-      Shard& shard = *filter->shards_[s];
+      // Unpublished filter: the lock is uncontended, and taking it satisfies
+      // the guarded_by proof without an analysis exception.
+      Shard& shard = *filter->shards_.back();
       MutexLock guard(shard.mutex);
-      shard.filter = DeserializeFilter(blob, blob_len);
-      if (shard.filter == nullptr) return nullptr;
       shard.stats = stats;
     }
     r.Skip(blob_len);
@@ -298,22 +257,20 @@ std::unique_ptr<AnyFilter> ShardedFilter::DeserializePayload(
 }
 
 size_t ShardedFilter::SpaceBytes() const {
-  // Takes each shard lock: the annotations surfaced that this walked
-  // shard->filter (a guarded member) unlocked.  Today every backend's
-  // SpaceBytes() reads construction-time geometry, so nothing races yet —
-  // but the unlocked walk was one occupancy-derived backend away from a
-  // silent data race, and it is exactly the kind of exception the analysis
+  // Takes each shard lock: shard.filter is a guarded member.  PF[TC]'s
+  // SpaceBytes() reads construction-time geometry, so nothing races today,
+  // but an unlocked walk is exactly the kind of exception the analysis
   // exists to forbid.  See ShardedFilter.SpaceBytesConcurrentWithInserts.
   size_t total = 0;
   for (const auto& shard : shards_) {
     MutexLock guard(shard->mutex);
-    total += shard->filter->SpaceBytes();
+    total += shard->filter.SpaceBytes();
   }
   return total;
 }
 
 std::string ShardedFilter::Name() const {
-  return "SHARD" + std::to_string(num_shards_) + "[" + options_.backend + "]";
+  return "SHARD" + std::to_string(num_shards_) + kShardSuffix;
 }
 
 ShardedFilter::~ShardedFilter() {
@@ -325,7 +282,6 @@ ShardedFilter::~ShardedFilter() {
 void ShardedFilter::EnableMetrics(obs::MetricsRegistry* registry) {
   if (registry == nullptr || registry_ != nullptr) return;
   registry_ = registry;
-  group_keys_hist_ = registry->GetHistogram("shard.group.keys");
   // Scrape-time view over the ShardStats already maintained under the shard
   // locks — per-shard occupancy (keys the shard absorbed), insert failures,
   // probe counts, and hits cost the hot path nothing extra.  These are the

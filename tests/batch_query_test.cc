@@ -222,11 +222,7 @@ TEST(AnyFilterBatch, InsertBatchCountsFailuresLikeScalarLoop) {
 // route-everything-to-one-group path.
 void CheckShardedBatchParity(uint32_t shards) {
   const uint64_t n = 50000;
-  ShardedFilterOptions options;
-  options.num_shards = shards;
-  options.backend = "FMB32";
-  options.seed = 501;
-  auto filter = ShardedFilter::Make(n, options);
+  auto filter = ShardedFilter::Make(n, ShardedFilterOptions{shards, 501});
   ASSERT_NE(filter, nullptr);
 
   const auto keys = RandomKeys(n, 502);

@@ -120,14 +120,16 @@ TEST(FactorySerialize, FastMultiBlockConfigsAreRegistered) {
 
 // The committed deserialize_filter seed corpus must track the registry:
 // fuzz/make_seed_corpus.cc writes one seed per KnownFilterNames() entry
-// (with '[', ']' and '-' spelled '_') plus two envelope-error seeds, so a
-// seed left behind by a deleted configuration, or a name with no seed,
+// (with '[', ']' and '-' spelled '_'), one sharded-service snapshot (the
+// target also feeds FilterService::Restore), plus two envelope-error seeds,
+// so a seed left behind by a deleted configuration, or a name with no seed,
 // shows up here.
 TEST(FactorySerialize, SeedCorpusMatchesKnownFilterNames) {
   const std::filesystem::path dir =
       std::filesystem::path(PF_SOURCE_DIR) / "fuzz/corpus/deserialize_filter";
   ASSERT_TRUE(std::filesystem::is_directory(dir)) << dir;
-  std::set<std::string> expected = {"bad_magic.bin", "truncated.bin"};
+  std::set<std::string> expected = {"bad_magic.bin", "truncated.bin",
+                                    "SHARD16_PF_TC__.bin"};
   for (std::string name : KnownFilterNames()) {
     for (char& c : name) {
       if (c == '[' || c == ']' || c == '-') c = '_';
@@ -200,23 +202,6 @@ TEST(FactorySerialize, RetaggedEnvelopeNameIsRejected) {
     EXPECT_EQ(DeserializeFilter(retagged.data(), retagged.size()), nullptr)
         << built << " retagged as " << retag;
   }
-}
-
-TEST(FactorySerialize, AliasedShardedBackendRoundTrips) {
-  // Regression: the sharded name parser must canonicalize the inner name,
-  // or shard blobs (tagged canonically) are rejected against the aliased
-  // backend string on restore and the snapshot is unrecoverable.
-  auto filter = MakeFilter("SHARD8[PF[CF-12-Flex]]", 20000, 24);
-  ASSERT_NE(filter, nullptr);
-  EXPECT_EQ(filter->Name(), "SHARD8[PF[CF12-Flex]]");
-  const auto keys = RandomKeys(20000, 215);
-  for (uint64_t k : keys) ASSERT_TRUE(filter->Insert(k));
-  std::vector<uint8_t> bytes;
-  ASSERT_TRUE(filter->SerializeTo(&bytes));
-  auto restored = DeserializeFilter(bytes.data(), bytes.size());
-  ASSERT_NE(restored, nullptr);
-  EXPECT_EQ(restored->Name(), filter->Name());
-  for (uint64_t k : keys) ASSERT_TRUE(restored->Contains(k));
 }
 
 }  // namespace

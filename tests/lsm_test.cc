@@ -50,6 +50,21 @@ TEST(LsmRun, DuplicateKeysKeepLastValue) {
   EXPECT_EQ(run.Get(5), 3u);
 }
 
+// A filter that fails an insert would give false negatives, so the run must
+// not consult it.  CF-8 sized for 7 keys rejects some inserts at these
+// seeds; every key must still be found.
+TEST(LsmRun, FilterInsertFailureLosesNoKeys) {
+  const auto keys = RandomKeys(7, 393);
+  for (const uint64_t seed : {56u, 123u, 147u}) {
+    std::vector<std::pair<uint64_t, uint64_t>> entries;
+    for (uint64_t k : keys) entries.push_back({k, k + 1});
+    lsm::Run run(std::move(entries), "CF-8", seed);
+    for (uint64_t k : keys) {
+      ASSERT_EQ(run.Get(k), k + 1) << "seed " << seed;
+    }
+  }
+}
+
 TEST(Table, PutGetRoundTrip) {
   TableOptions options;
   options.memtable_entries = 1000;

@@ -467,11 +467,11 @@ bool HasSeries(const std::string& body, const std::string& name) {
 // and the homes agree with what the client actually sent and was told.
 TEST(MembershipServer, EachQuantityIsExportedOnce) {
   obs::MetricsRegistry registry;
-  // A rigid cuckoo backend overfilled 2x: inserts fail deterministically,
-  // so the failure accounting is exercised with nonzero values.
+  // Prefix-filter shards overfilled 2x: their spares overflow, so inserts
+  // fail deterministically and the failure accounting is exercised with
+  // nonzero values.
   ShardedFilterOptions filter_options;
   filter_options.num_shards = 4;
-  filter_options.backend = "CF-8";
   auto filter = ShardedFilter::Make(4096, filter_options);
   ASSERT_NE(filter, nullptr);
   FilterServiceOptions service_options;

@@ -1,58 +1,81 @@
 // Tests for the hash-partitioned sharded filter (src/service/): contract,
-// name grammar, batch routing, FPR parity with the unsharded equivalent, and
-// snapshot round-trips.
+// name grammar, batch routing, FPR parity with the unsharded equivalent,
+// pinned answers, and snapshot round-trips and rejections.
 #include "src/service/sharded_filter.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/service/batch_router.h"
+#include "src/service/filter_service.h"
 #include "src/util/random.h"
+#include "src/util/serialize.h"
 
 namespace prefixfilter {
 namespace {
 
+std::unique_ptr<ShardedFilter> MakeSharded(uint64_t capacity,
+                                           uint32_t num_shards, uint64_t seed) {
+  return ShardedFilter::Make(capacity, ShardedFilterOptions{num_shards, seed});
+}
+
 TEST(ShardedFilterName, GrammarAcceptsAndRejects) {
-  ShardedFilterOptions options;
-  ASSERT_TRUE(ShardedFilter::ParseName("SHARD16[PF[TC]]", &options));
-  EXPECT_EQ(options.num_shards, 16u);
-  EXPECT_EQ(options.backend, "PF[TC]");
-  ASSERT_TRUE(ShardedFilter::ParseName("SHARD4[CF-12-Flex]", &options));
-  EXPECT_EQ(options.num_shards, 4u);
-  EXPECT_EQ(options.backend, "CF-12-Flex");
+  uint32_t num_shards = 0;
+  ASSERT_TRUE(ShardedFilter::ParseName("SHARD16[PF[TC]]", &num_shards));
+  EXPECT_EQ(num_shards, 16u);
+  ASSERT_TRUE(ShardedFilter::ParseName("SHARD1[PF[TC]]", &num_shards));
+  EXPECT_EQ(num_shards, 1u);
+  ASSERT_TRUE(ShardedFilter::ParseName("SHARD4096[PF[TC]]", &num_shards));
+  EXPECT_EQ(num_shards, 4096u);
 
   for (const char* bad :
-       {"SHARD[PF[TC]]", "SHARD0[TC]", "SHARD16", "SHARD16[]",
-        "SHARD16[TC", "SHARD8[SHARD4[TC]]", "SHARDx[TC]", "PF[TC]",
+       {"SHARD[PF[TC]]", "SHARD0[PF[TC]]", "SHARD16", "SHARD16[]",
+        "SHARD16[PF[TC]", "SHARD16[PF[TC]]]", "SHARDx[PF[TC]]", "PF[TC]",
+        "SHARD8192[PF[TC]]", "SHARD4[CF-12-Flex]", "SHARD8[SHARD4[PF[TC]]]",
         // Non-power-of-two counts are rejected, not rounded: the name is a
         // registry key and must round-trip through Name() unchanged.
-        "SHARD3[TC]", "SHARD10[PF[TC]]"}) {
-    EXPECT_FALSE(ShardedFilter::ParseName(bad, &options)) << bad;
+        "SHARD3[PF[TC]]", "SHARD10[PF[TC]]"}) {
+    EXPECT_FALSE(ShardedFilter::ParseName(bad, &num_shards)) << bad;
+    EXPECT_EQ(num_shards, 4096u) << bad;
   }
 }
 
-TEST(ShardedFilter, FactoryConstructsAndRoundTripsName) {
-  auto f = MakeFilter("SHARD16[PF[TC]]", 100000, 3);
+TEST(ShardedFilter, MakeRoundTripsNameAndRejectsBadGeometry) {
+  auto f = MakeSharded(100000, 16, 3);
   ASSERT_NE(f, nullptr);
   EXPECT_EQ(f->Name(), "SHARD16[PF[TC]]");
   EXPECT_EQ(f->Capacity(), 100000u);
-  // Unknown inner names, nested sharding, and non-power-of-two counts fail
-  // cleanly (the latter would break the name round-trip if rounded).
-  EXPECT_EQ(MakeFilter("SHARD16[NOPE]", 1000), nullptr);
-  EXPECT_EQ(MakeFilter("SHARD8[SHARD4[TC]]", 1000), nullptr);
-  EXPECT_EQ(MakeFilter("SHARD10[TC]", 10000, 3), nullptr);
+  EXPECT_GT(f->SpaceBytes(), 100000u / 8) << "implausibly small";
+  EXPECT_LT(f->SpaceBytes(), 16u * 100000) << "implausibly large";
+  // Shard counts round up to a power of two.
+  auto rounded = MakeSharded(1000, 10, 3);
+  ASSERT_NE(rounded, nullptr);
+  EXPECT_EQ(rounded->Name(), "SHARD16[PF[TC]]");
+
+  EXPECT_EQ(MakeSharded(1000, 0, 3), nullptr);
+  EXPECT_EQ(MakeSharded(1000, 8192, 3), nullptr);
+  EXPECT_EQ(MakeSharded(0, 16, 3), nullptr);
+  EXPECT_EQ(MakeSharded((uint64_t{1} << 48) + 1, 16, 3), nullptr);
+
+  // The sharded filter is not a factory configuration, and the service
+  // bootstrap accepts only its one spelling.
+  EXPECT_EQ(MakeFilter("SHARD16[PF[TC]]", 1000), nullptr);
+  EXPECT_NE(MakeFilterService("SHARD16[PF[TC]]", 1000, {0}), nullptr);
+  for (const char* bad : {"PF[TC]", "SHARD16[NOPE]", "SHARD8[SHARD4[PF[TC]]]",
+                          "SHARD10[PF[TC]]"}) {
+    EXPECT_EQ(MakeFilterService(bad, 1000, {0}), nullptr) << bad;
+  }
 }
 
 TEST(ShardedFilter, NoFalseNegativesAndShardsBalance) {
   const uint64_t n = 200000;
-  ShardedFilterOptions options;
-  options.num_shards = 16;
-  options.seed = 171;
-  auto filter = ShardedFilter::Make(n, options);
+  auto filter = MakeSharded(n, 16, 171);
   ASSERT_NE(filter, nullptr);
   const auto keys = RandomKeys(n, 172);
   for (uint64_t k : keys) ASSERT_TRUE(filter->Insert(k));
@@ -73,7 +96,7 @@ TEST(ShardedFilter, NoFalseNegativesAndShardsBalance) {
 
 TEST(ShardedFilter, BatchAgreesWithScalarAcrossShards) {
   const uint64_t n = 100000;
-  auto filter = MakeFilter("SHARD8[PF[CF12-Flex]]", n, 173);
+  auto filter = MakeSharded(n, 8, 173);
   ASSERT_NE(filter, nullptr);
   const auto keys = RandomKeys(n, 174);
   for (uint64_t k : keys) ASSERT_TRUE(filter->Insert(k));
@@ -103,7 +126,7 @@ TEST(ShardedFilter, FprWithinTenPercentOfUnshardedEquivalent) {
   const auto probes = RandomKeys(2000000, 177);
 
   auto single = MakeFilter("PF[TC]", n, 178);
-  auto sharded = MakeFilter("SHARD16[PF[TC]]", n, 178);
+  auto sharded = MakeSharded(n, 16, 178);
   ASSERT_NE(single, nullptr);
   ASSERT_NE(sharded, nullptr);
   for (uint64_t k : keys) {
@@ -128,10 +151,7 @@ TEST(ShardedFilter, FprWithinTenPercentOfUnshardedEquivalent) {
 
 TEST(ShardedFilter, ConcurrentMixedTrafficIsSafe) {
   const uint64_t n = 120000;
-  ShardedFilterOptions options;
-  options.num_shards = 8;
-  options.seed = 179;
-  auto filter = ShardedFilter::Make(n, options);
+  auto filter = MakeSharded(n, 8, 179);
   ASSERT_NE(filter, nullptr);
   const auto keys = RandomKeys(n, 180);
   const uint64_t half = n / 2;
@@ -162,41 +182,99 @@ TEST(ShardedFilter, ConcurrentMixedTrafficIsSafe) {
   for (uint64_t k : keys) ASSERT_TRUE(filter->Contains(k));
 }
 
-TEST(ShardedFilter, SnapshotRoundTripsThroughTypeErasedLayer) {
+TEST(ShardedFilter, SnapshotRoundTripsBitExactly) {
   const uint64_t n = 50000;
-  auto filter = MakeFilter("SHARD4[PF[BBF-Flex]]", n, 182);
+  auto filter = MakeSharded(n, 4, 182);
   ASSERT_NE(filter, nullptr);
   const auto keys = RandomKeys(n, 183);
   for (uint64_t k : keys) ASSERT_TRUE(filter->Insert(k));
 
   std::vector<uint8_t> bytes;
   ASSERT_TRUE(filter->SerializeTo(&bytes));
-  auto restored = DeserializeFilter(bytes.data(), bytes.size());
+  auto restored = ShardedFilter::Deserialize(bytes.data(), bytes.size());
   ASSERT_NE(restored, nullptr);
-  EXPECT_EQ(restored->Name(), "SHARD4[PF[BBF-Flex]]");
+  EXPECT_EQ(restored->Name(), "SHARD4[PF[TC]]");
   EXPECT_EQ(restored->Capacity(), n);
+  EXPECT_EQ(restored->SpaceBytes(), filter->SpaceBytes());
+  // The image is canonical: re-serializing the restored filter (before any
+  // query moves its counters) reproduces it byte for byte.
+  std::vector<uint8_t> bytes2;
+  ASSERT_TRUE(restored->SerializeTo(&bytes2));
+  EXPECT_EQ(bytes, bytes2);
 
   const auto probes = RandomKeys(100000, 184);
   for (uint64_t k : keys) ASSERT_TRUE(restored->Contains(k));
   for (uint64_t k : probes) {
     ASSERT_EQ(restored->Contains(k), filter->Contains(k));
   }
-
   // Stats survive the round trip.
-  auto* original = dynamic_cast<ShardedFilter*>(filter.get());
-  auto* loaded = dynamic_cast<ShardedFilter*>(restored.get());
-  ASSERT_NE(original, nullptr);
-  ASSERT_NE(loaded, nullptr);
-  EXPECT_EQ(loaded->TotalStats().inserts, n);
-  for (uint32_t s = 0; s < original->num_shards(); ++s) {
-    EXPECT_EQ(loaded->shard_stats(s).inserts, original->shard_stats(s).inserts);
+  for (uint32_t s = 0; s < filter->num_shards(); ++s) {
+    EXPECT_EQ(restored->shard_stats(s).inserts, filter->shard_stats(s).inserts);
   }
+  EXPECT_EQ(restored->TotalStats().inserts, n);
 
-  // Corruptions in the sharded header fail cleanly.
-  auto corrupt = bytes;
-  corrupt[0] ^= 0xff;  // envelope magic
-  EXPECT_EQ(DeserializeFilter(corrupt.data(), corrupt.size()), nullptr);
-  EXPECT_EQ(DeserializeFilter(bytes.data(), bytes.size() / 2), nullptr);
+  // The factory knows only the unsharded configurations.
+  EXPECT_EQ(DeserializeFilter(bytes.data(), bytes.size()), nullptr);
+}
+
+// Every bound check on snapshot input, one corruption each.  Layout: the
+// PFAE envelope (u32 magic, u8 version, u32 name length, name), then u8
+// payload version, u32 shard count, u64 capacity, u64 seed, and per shard
+// four u64 stats, a u64 length and the raw PF[TC] payload.
+TEST(ShardedFilter, CorruptedAndTruncatedSnapshotsAreRejected) {
+  auto filter = MakeSharded(5000, 4, 185);
+  ASSERT_NE(filter, nullptr);
+  const auto keys = RandomKeys(5000, 186);
+  ASSERT_EQ(filter->InsertBatch(keys.data(), keys.size()), 0u);
+  std::vector<uint8_t> bytes;
+  ASSERT_TRUE(filter->SerializeTo(&bytes));
+  ASSERT_NE(ShardedFilter::Deserialize(bytes.data(), bytes.size()), nullptr);
+
+  const size_t payload = 4 + 1 + 4 + filter->Name().size();
+  const size_t num_shards_at = payload + 1;
+  const size_t capacity_at = num_shards_at + 4;
+  const size_t shard0_len_at = capacity_at + 8 + 8 + 4 * 8;
+  const size_t shard0_blob_at = shard0_len_at + 8;
+  const auto rejects = [](const std::vector<uint8_t>& image) {
+    return ShardedFilter::Deserialize(image.data(), image.size()) == nullptr;
+  };
+  const auto with_u32 = [&](size_t at, uint32_t v) {
+    auto image = bytes;
+    std::memcpy(image.data() + at, &v, sizeof(v));
+    return image;
+  };
+  const auto with_u64 = [&](size_t at, uint64_t v) {
+    auto image = bytes;
+    std::memcpy(image.data() + at, &v, sizeof(v));
+    return image;
+  };
+  const auto with_byte = [&](size_t at, uint8_t v) {
+    auto image = bytes;
+    image[at] = v;
+    return image;
+  };
+
+  EXPECT_TRUE(rejects(with_byte(0, bytes[0] ^ 0x5a))) << "envelope magic";
+  EXPECT_TRUE(rejects(with_byte(4, 0x7f))) << "envelope version";
+  EXPECT_TRUE(rejects(with_byte(9 + 5, '3'))) << "name: SHARD3";
+  EXPECT_TRUE(rejects(with_byte(payload, 1))) << "payload version";
+  EXPECT_TRUE(rejects(with_u32(num_shards_at, 8))) << "count != name";
+  EXPECT_TRUE(rejects(with_u64(capacity_at, 0))) << "capacity 0";
+  EXPECT_TRUE(rejects(with_u64(capacity_at, (uint64_t{1} << 48) + 1)))
+      << "capacity > 2^48";
+  EXPECT_TRUE(rejects(with_u64(capacity_at, 10000))) << "shard geometry";
+  EXPECT_TRUE(rejects(with_u64(shard0_len_at, bytes.size())))
+      << "blob_len > remaining";
+  EXPECT_TRUE(rejects(with_byte(shard0_blob_at, bytes[shard0_blob_at] ^ 1)))
+      << "shard payload magic";
+  auto trailing = bytes;
+  trailing.push_back(0);
+  EXPECT_TRUE(rejects(trailing)) << "trailing byte";
+  for (size_t len : {size_t{0}, size_t{3}, size_t{8}, payload, shard0_blob_at,
+                     bytes.size() / 2, bytes.size() - 1}) {
+    EXPECT_EQ(ShardedFilter::Deserialize(bytes.data(), len), nullptr)
+        << "len=" << len;
+  }
 }
 
 // The scalar and single-shard fast paths (ROADMAP: close the ~35-40%
@@ -206,11 +284,10 @@ TEST(ShardedFilter, FastPathsAgreeWithRoutedPathAndKeepStats) {
   const uint64_t n = 50000;
 
   // 1-key batches hit the inline route-on-query path.
-  auto sharded = MakeFilter("SHARD16[PF[TC]]", n, 331);
-  ASSERT_NE(sharded, nullptr);
+  auto impl = MakeSharded(n, 16, 331);
+  ASSERT_NE(impl, nullptr);
   const auto keys = RandomKeys(n, 332);
-  for (uint64_t k : keys) ASSERT_TRUE(sharded->Insert(k));
-  auto* impl = static_cast<ShardedFilter*>(sharded.get());
+  for (uint64_t k : keys) ASSERT_TRUE(impl->Insert(k));
   const uint64_t queries_before = impl->TotalStats().queries;
   const auto probes = RandomKeys(5000, 333);
   for (size_t i = 0; i < probes.size(); ++i) {
@@ -224,8 +301,7 @@ TEST(ShardedFilter, FastPathsAgreeWithRoutedPathAndKeepStats) {
   EXPECT_EQ(impl->TotalStats().queries - queries_before, 2 * probes.size());
 
   // Single-shard filters drain batches straight through shard 0.
-  auto single = ShardedFilter::Make(
-      n, ShardedFilterOptions{/*num_shards=*/1, "PF[TC]", 334});
+  auto single = MakeSharded(n, /*num_shards=*/1, 334);
   ASSERT_NE(single, nullptr);
   EXPECT_EQ(single->num_shards(), 1u);
   EXPECT_EQ(single->InsertBatch(keys.data(), keys.size()), 0u);
@@ -242,8 +318,7 @@ TEST(ShardedFilter, FastPathsAgreeWithRoutedPathAndKeepStats) {
   EXPECT_EQ(stats.queries, 2 * stream.size());
 
   // 1-key inserts ride the scalar insert path with identical accounting.
-  auto sharded2 = ShardedFilter::Make(
-      1000, ShardedFilterOptions{/*num_shards=*/8, "PF[TC]", 336});
+  auto sharded2 = MakeSharded(1000, /*num_shards=*/8, 336);
   const uint64_t one = 12345;
   EXPECT_EQ(sharded2->InsertBatch(&one, 1), 0u);
   EXPECT_TRUE(sharded2->Contains(one));
@@ -259,11 +334,7 @@ TEST(ShardedFilter, FastPathsAgreeWithRoutedPathAndKeepStats) {
 // occupancy state if the locks are ever dropped again.
 TEST(ShardedFilter, SpaceBytesConcurrentWithInserts) {
   const uint64_t n = 120000;
-  ShardedFilterOptions options;
-  options.num_shards = 8;
-  options.backend = "PF[CF12-Flex]";
-  options.seed = 191;
-  auto filter = ShardedFilter::Make(n, options);
+  auto filter = MakeSharded(n, 8, 191);
   ASSERT_NE(filter, nullptr);
   const auto keys = RandomKeys(n, 192);
 
@@ -284,6 +355,60 @@ TEST(ShardedFilter, SpaceBytesConcurrentWithInserts) {
   observer.join();
   EXPECT_EQ(violations.load(), 0u);
   EXPECT_GE(filter->SpaceBytes(), empty_space);
+}
+
+// The answers of a SHARD16[PF[TC]] service, pinned across refactors of the
+// sharding layer: FNV-1a (the kernel_differential_test recipe) over the
+// filter's SpaceBytes and its ContainsBatch answer stream at batch sizes
+// 1, 7, 64 and 4096.  Snapshot bytes may change with the snapshot format;
+// these bits may not, since they fix the per-shard seeds, capacities and
+// routing.
+constexpr uint64_t kShard16PfTcAnswerDigest = 0x7c8ff4732eb63fc6ull;
+
+uint64_t Fnv1a(const uint8_t* data, size_t len, uint64_t h) {
+  for (size_t i = 0; i < len; ++i) {
+    h ^= data[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(ShardedFilter, AnswerStreamMatchesGoldenDigest) {
+  constexpr uint64_t kCapacity = 50000;
+  obs::MetricsRegistry registry;
+  FilterServiceOptions options;
+  options.num_threads = 0;
+  options.registry = &registry;
+  auto service = MakeFilterService("SHARD16[PF[TC]]", kCapacity, options,
+                                   /*seed=*/0x5eedf00dull);
+  ASSERT_NE(service, nullptr);
+  const auto keys = RandomKeys(kCapacity, 3);
+  ASSERT_EQ(service->InsertBatchSync(keys.data(), keys.size()), 0u);
+
+  const uint64_t space = service->filter().SpaceBytes();
+  uint64_t digest = 1469598103934665603ull;
+  for (int i = 0; i < 8; ++i) {
+    const uint8_t byte = static_cast<uint8_t>(space >> (8 * i));
+    digest = Fnv1a(&byte, 1, digest);
+  }
+
+  const auto random = RandomKeys(20000, 4);
+  std::vector<uint64_t> probes(random.size());
+  for (size_t i = 0; i < probes.size(); ++i) {
+    probes[i] = (i % 2 == 0) ? keys[(i / 2) % keys.size()] : random[i];
+  }
+  std::vector<uint8_t> out(probes.size());
+  for (const size_t batch : {size_t{1}, size_t{7}, size_t{64}, size_t{4096}}) {
+    std::fill(out.begin(), out.end(), 0xee);
+    for (size_t base = 0; base < probes.size(); base += batch) {
+      const size_t n = std::min(batch, probes.size() - base);
+      service->QueryBatchSync(probes.data() + base, n, out.data() + base);
+    }
+    digest = Fnv1a(out.data(), out.size(), digest);
+  }
+  EXPECT_EQ(digest, kShard16PfTcAnswerDigest)
+      << "SHARD16[PF[TC]]: actual digest 0x" << std::hex << digest
+      << " — per-shard seeds, capacities or routing changed";
 }
 
 }  // namespace
