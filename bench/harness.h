@@ -229,27 +229,55 @@ std::pair<double, uint64_t> TimeQueries(const Filter& filter,
   return {secs, found};
 }
 
+namespace internal {
+
+// Times apply(base, count) over [begin, end) in `chunk`-key steps; apply
+// returns the step's failure count.
+template <typename Apply>
+PhaseStats TimedChunks(size_t begin, size_t end, size_t chunk,
+                       const Apply& apply) {
+  PhaseStats stats;
+  std::vector<double> chunk_ns;
+  chunk_ns.reserve((end - begin) / chunk + 1);
+  Timer total;
+  for (size_t base = begin; base < end; base += chunk) {
+    const size_t count = std::min(end - base, chunk);
+    Timer step;
+    stats.failures += apply(base, count);
+    chunk_ns.push_back(step.Seconds() * 1e9 / static_cast<double>(count));
+  }
+  stats.seconds = total.Seconds();
+  stats.ops = end - begin;
+  FillPercentiles(chunk_ns, &stats);
+  return stats;
+}
+
+}  // namespace internal
+
 // Chunk-timed insertion of keys [begin, end) into `filter`.
 template <typename Filter>
 PhaseStats TimedInserts(Filter& filter, const std::vector<uint64_t>& keys,
                         size_t begin, size_t end) {
-  PhaseStats stats;
-  std::vector<double> chunk_ns;
-  chunk_ns.reserve((end - begin) / internal::kChunkOps + 1);
-  Timer total;
-  for (size_t base = begin; base < end; base += internal::kChunkOps) {
-    const size_t stop = std::min(end, base + internal::kChunkOps);
-    Timer chunk;
-    for (size_t i = base; i < stop; ++i) {
-      stats.failures += !filter.Insert(keys[i]);
-    }
-    chunk_ns.push_back(chunk.Seconds() * 1e9 /
-                       static_cast<double>(stop - base));
-  }
-  stats.seconds = total.Seconds();
-  stats.ops = end - begin;
-  internal::FillPercentiles(chunk_ns, &stats);
-  return stats;
+  return internal::TimedChunks(
+      begin, end, internal::kChunkOps, [&](size_t base, size_t count) {
+        uint64_t failures = 0;
+        for (size_t i = base; i < base + count; ++i) {
+          failures += !filter.Insert(keys[i]);
+        }
+        return failures;
+      });
+}
+
+// TimedInserts through the filter's own batched insert: keys [begin, end)
+// go in `batch`-key InsertBatch calls, one timed chunk per call.
+template <typename Filter>
+PhaseStats TimedBatchInserts(Filter& filter, const std::vector<uint64_t>& keys,
+                             size_t begin, size_t end, size_t batch) {
+  return internal::TimedChunks(begin, end, batch,
+                               [&](size_t base, size_t count) {
+                                 return filter.InsertBatch(keys.data() + base,
+                                                           count);
+                               });
 }
 
 // Warm + steady query measurement.  One untimed pass over the first

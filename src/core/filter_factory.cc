@@ -26,19 +26,24 @@ class FilterAdapter final : public AnyFilter {
 
   bool Insert(uint64_t key) override { return filter_.Insert(key); }
   bool Contains(uint64_t key) const override { return filter_.Contains(key); }
-  // Devirtualized batch hot paths: one virtual dispatch per batch, then a
-  // concrete loop over filter_ (inlined Contains/Insert — no per-key virtual
-  // calls, even for filters without their own batch path).
+  // Devirtualized batch hot paths: one virtual dispatch per batch, then the
+  // filter's own batch path when it has one (the prefix filters' prefetch
+  // pipelines), else a concrete loop over filter_ (inlined Contains/Insert —
+  // no per-key virtual calls).
   void ContainsBatch(const uint64_t* keys, size_t count,
                      uint8_t* out) const override {
     ContainsBatchOrScalar(filter_, keys, count, out);
   }
   uint64_t InsertBatch(const uint64_t* keys, size_t count) override {
-    uint64_t failures = 0;
-    for (size_t i = 0; i < count; ++i) {
-      failures += !filter_.Insert(keys[i]);
+    if constexpr (HasInsertBatch<F>::value) {
+      return filter_.InsertBatch(keys, count);
+    } else {
+      uint64_t failures = 0;
+      for (size_t i = 0; i < count; ++i) {
+        failures += !filter_.Insert(keys[i]);
+      }
+      return failures;
     }
-    return failures;
   }
   bool SerializeTo(std::vector<uint8_t>* out) const override {
     WriteFilterEnvelope(factory_name_, out);

@@ -29,6 +29,18 @@ struct HasByteBatch<
            static_cast<const uint64_t*>(nullptr), size_t{0},
            static_cast<uint8_t*>(nullptr)))>> : std::true_type {};
 
+// Detects a concrete filter's batched insert
+// (`uint64_t InsertBatch(const uint64_t*, size_t)`, returning the failure
+// count).  FilterAdapter::InsertBatch routes to it when one exists.
+template <typename F, typename = void>
+struct HasInsertBatch : std::false_type {};
+template <typename F>
+struct HasInsertBatch<
+    F, std::enable_if_t<std::is_same_v<
+           decltype(std::declval<F&>().InsertBatch(
+               static_cast<const uint64_t*>(nullptr), size_t{0})),
+           uint64_t>>> : std::true_type {};
+
 // Batch probe over a CONCRETE filter: its prefetching byte-batch path if it
 // has one, otherwise a concrete (devirtualized) scalar loop.
 template <typename F>

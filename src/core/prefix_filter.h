@@ -21,6 +21,13 @@
 // The spare's capacity is fixed at construction: n' = slack * E[X], where
 // E[X] (the expected number of forwarded fingerprints) is computed exactly
 // from the binomial analysis of §6.1, and slack defaults to the paper's 1.1.
+//
+// Both batch paths, ContainsBatch and InsertBatch, run the rolling prefetch
+// pipeline of batch_pipeline.h so that the bin misses of a batch overlap.
+// InsertBatch prefetches each bin line for write D keys ahead and then
+// applies the keys strictly in input order through the same body as
+// Insert(), so a batched build ends bit-identical to an Insert() loop: bin
+// table, spare, stats() and snapshot bytes.
 #ifndef PREFIXFILTER_SRC_CORE_PREFIX_FILTER_H_
 #define PREFIXFILTER_SRC_CORE_PREFIX_FILTER_H_
 
@@ -87,31 +94,23 @@ class PrefixFilter {
   // Inserts a key (assumed not already present, per the incremental-filter
   // contract).  Returns false iff the filter failed, i.e. the spare could
   // not absorb a forwarded fingerprint.
-  bool Insert(uint64_t key) {
-    const uint64_t h = hash_(key);
-    const uint64_t b = HashParts::Bin(h, num_bins_);
-    const int q = static_cast<int>(HashParts::Quotient(h, kNumLists));
-    const uint8_t r = HashParts::Remainder(h);
-    ++stats_.inserts;
+  bool Insert(uint64_t key) { return InsertHashed(hash_(key)); }
 
-    PD256& bin = bins_[b];
-    if (bin.Insert(q, r)) return true;  // bin not full: common case
-
-    // Bin full: forward max{FP(x), max of bin} to the spare (Algorithm 1).
-    if (!bin.Overflowed()) bin.MarkOverflowed();
-    const uint16_t fp_new = MiniFp(q, r);
-    const uint16_t fp_max = bin.MaxFingerprint();
-    const uint16_t forwarded = fp_new > fp_max ? fp_new : fp_max;
-    ++stats_.spare_inserts;
-    if (fp_new <= fp_max) {
-      ++stats_.evictions;
-      bin.ReplaceMax(q, r);
-    }
-    const uint64_t spare_key = SpareKey(b, forwarded);
-    if (options_.avoid_spare_duplicates && spare_.Contains(spare_key)) {
-      return true;
-    }
-    return spare_.Insert(spare_key);
+  // Batched insert of keys[0..count); returns the number of failed inserts.
+  // While key i is applied through InsertHashed, key i + D is hashed and its
+  // bin line prefetched for write.  A forwarded fingerprint (~6% of inserts
+  // at full load) goes to the spare inline; a spare prefetch ahead of it
+  // measured within run-to-run spread on a ~190 MB table.  Keys apply in
+  // input order, so the result equals an Insert() loop's (file comment).
+  uint64_t InsertBatch(const uint64_t* keys, size_t count) {
+    uint64_t failures = 0;
+    RunPrefetchPipeline(
+        keys, count, hash_,
+        [this](uint64_t h) {
+          PrefetchLineForWrite(&bins_[HashParts::Bin(h, num_bins_)]);
+        },
+        [&](size_t, uint64_t h) { failures += !InsertHashed(h); });
+    return failures;
   }
 
   // Approximate membership: no false negatives; false positives with
@@ -250,6 +249,34 @@ class PrefixFilter {
   }
 
  private:
+  // Algorithm 1 for hash h: the one insert body behind Insert and
+  // InsertBatch.
+  bool InsertHashed(uint64_t h) {
+    const uint64_t b = HashParts::Bin(h, num_bins_);
+    const int q = static_cast<int>(HashParts::Quotient(h, kNumLists));
+    const uint8_t r = HashParts::Remainder(h);
+    ++stats_.inserts;
+
+    PD256& bin = bins_[b];
+    if (bin.Insert(q, r)) return true;  // bin not full: common case
+
+    // Bin full: forward max{FP(x), max of bin} to the spare (Algorithm 1).
+    if (!bin.Overflowed()) bin.MarkOverflowed();
+    const uint16_t fp_new = MiniFp(q, r);
+    const uint16_t fp_max = bin.MaxFingerprint();
+    const uint16_t forwarded = fp_new > fp_max ? fp_new : fp_max;
+    ++stats_.spare_inserts;
+    if (fp_new <= fp_max) {
+      ++stats_.evictions;
+      bin.ReplaceMax(q, r);
+    }
+    const uint64_t spare_key = SpareKey(b, forwarded);
+    if (options_.avoid_spare_duplicates && spare_.Contains(spare_key)) {
+      return true;
+    }
+    return spare_.Insert(spare_key);
+  }
+
   // Algorithm 2's bin stage for hash h.  The Prefix Invariant says the
   // fingerprint can only be in the spare if the bin overflowed and fp(x)
   // exceeds the bin maximum: then this counts a spare query and returns

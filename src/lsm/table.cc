@@ -22,7 +22,7 @@ void Table::Flush() {
     keys.reserve(entries.size());
     for (const auto& [key, value] : entries) keys.push_back(key);
     const uint64_t failures =
-        options_.filter_service->InsertBatch(std::move(keys)).get();
+        options_.filter_service->InsertBatchSync(keys.data(), keys.size());
     if (failures != 0) service_filter_ok_ = false;
   }
   runs_.push_back(std::make_unique<Run>(std::move(entries),

@@ -167,8 +167,7 @@ uint64_t ShardedFilter::InsertShard(uint32_t shard_index,
   Shard& shard = *shards_[shard_index];
   MutexLock guard(shard.mutex);
   shard.stats.inserts += count;
-  uint64_t failures = 0;
-  for (size_t i = 0; i < count; ++i) failures += !shard.filter.Insert(keys[i]);
+  const uint64_t failures = shard.filter.InsertBatch(keys, count);
   shard.stats.insert_failures += failures;
   return failures;
 }

@@ -1,11 +1,12 @@
-// Tests for the prefetching batch-query API, and for the devirtualized
-// AnyFilter batch path: one virtual dispatch per batch must produce answers
-// identical to per-key virtual Contains() on every route a batch can take —
-// the adapter's concrete loop and ShardedFilter's single- and multi-shard
-// routing.
+// Tests for the prefetching batch-query and batch-insert APIs, and for the
+// devirtualized AnyFilter batch path: one virtual dispatch per batch must
+// produce answers identical to per-key virtual Contains() on every route a
+// batch can take — the adapter's concrete loop and ShardedFilter's single-
+// and multi-shard routing.
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "src/core/filter_factory.h"
 #include "src/core/prefix_filter.h"
 #include "src/core/spare.h"
+#include "src/filters/twochoicer.h"
 #include "src/service/filter_service.h"
 #include "src/service/sharded_filter.h"
 #include "src/util/batch_pipeline.h"
@@ -143,6 +145,117 @@ TYPED_TEST(PrefixFilterBatchParity, AllSpareBoundBatchMatchesScalar) {
   EXPECT_EQ(this->filter_.stats().spare_queries, wanted);
 }
 
+// --- PrefixFilter batched insert vs. the scalar loop, on every spare ------
+//
+// InsertBatch must apply keys in input order through Insert's own body: the
+// snapshot bytes, stats() and failure count of a batched build equal those
+// of an Insert() loop over the same stream, at every batch size.  Bins keep
+// the smallest fingerprints whatever the order, but eviction counts, the
+// two-choice and cuckoo spares' layouts and the failure point all depend
+// on it.
+
+template <typename Spare>
+class PrefixFilterInsertBatchParity : public ::testing::Test {
+ protected:
+  struct Build {
+    std::vector<uint8_t> image;
+    PrefixFilterStats stats;
+    uint64_t failures = 0;
+  };
+
+  static Build Finish(const PrefixFilter<Spare>& filter, uint64_t failures) {
+    Build build;
+    filter.SerializeTo(&build.image);
+    build.stats = filter.stats();
+    build.failures = failures;
+    return build;
+  }
+
+  // Builds `stream` into an empty filter with an Insert() loop, then with
+  // InsertBatch at every batch size, and checks the builds agree.  Returns
+  // the scalar build.
+  static Build ExpectBatchBuildsMatchScalar(
+      uint64_t capacity, const PrefixFilterOptions& options,
+      const std::vector<uint64_t>& stream) {
+    PrefixFilter<Spare> scalar(capacity, options);
+    uint64_t scalar_failures = 0;
+    for (uint64_t k : stream) scalar_failures += !scalar.Insert(k);
+    const Build expected = Finish(scalar, scalar_failures);
+
+    constexpr size_t kD = kBatchPrefetchDistance;
+    for (size_t batch : {size_t{1}, size_t{7}, kD - 1, kD, kD + 1,
+                         size_t{4096}, stream.size()}) {
+      PrefixFilter<Spare> batched(capacity, options);
+      uint64_t failures = 0;
+      for (size_t base = 0; base < stream.size(); base += batch) {
+        const size_t count = std::min(batch, stream.size() - base);
+        failures += batched.InsertBatch(stream.data() + base, count);
+      }
+      const Build actual = Finish(batched, failures);
+      EXPECT_EQ(actual.failures, expected.failures)
+          << batched.Name() << " batch=" << batch;
+      EXPECT_EQ(actual.stats.inserts, expected.stats.inserts)
+          << batched.Name() << " batch=" << batch;
+      EXPECT_EQ(actual.stats.spare_inserts, expected.stats.spare_inserts)
+          << batched.Name() << " batch=" << batch;
+      EXPECT_EQ(actual.stats.evictions, expected.stats.evictions)
+          << batched.Name() << " batch=" << batch;
+      EXPECT_TRUE(actual.image == expected.image)
+          << batched.Name() << " batch=" << batch << ": snapshot bytes differ";
+    }
+    return expected;
+  }
+};
+
+TYPED_TEST_SUITE(PrefixFilterInsertBatchParity, SpareTypes);
+
+TYPED_TEST(PrefixFilterInsertBatchParity, LoadPastBinOverflow) {
+  constexpr uint64_t kKeys = 20000;
+  const auto build = TestFixture::ExpectBatchBuildsMatchScalar(
+      kKeys, PrefixFilterOptions{}, RandomKeys(kKeys, 221));
+  EXPECT_GT(build.stats.spare_inserts, 0u);
+  EXPECT_GT(build.stats.evictions, 0u);
+  EXPECT_EQ(build.failures, 0u);
+}
+
+TYPED_TEST(PrefixFilterInsertBatchParity, OverfillUntilTheSpareRejects) {
+  constexpr uint64_t kCapacity = 2000;
+  const auto build = TestFixture::ExpectBatchBuildsMatchScalar(
+      kCapacity, PrefixFilterOptions{}, RandomKeys(4 * kCapacity, 222));
+  // A blocked Bloom spare cannot fail (spare.h): there the equal count is 0.
+  if (!std::is_same_v<TypeParam, SpareBbfTraits>) {
+    EXPECT_GT(build.failures, 0u) << "overfill did not exercise failures";
+  }
+}
+
+TYPED_TEST(PrefixFilterInsertBatchParity, AvoidSpareDuplicatesWithRepeats) {
+  // Every third insert repeats the key two places back, inside one prefetch
+  // window: the repeat must see the first copy already applied.
+  constexpr uint64_t kCapacity = 20000;
+  const auto distinct = RandomKeys(kCapacity, 223);
+  std::vector<uint64_t> stream;
+  for (size_t i = 0; stream.size() < kCapacity; ++i) {
+    stream.push_back(distinct[i]);
+    if (i % 3 == 2) stream.push_back(distinct[i - 2]);
+  }
+  PrefixFilterOptions options;
+  options.avoid_spare_duplicates = true;
+  const auto build =
+      TestFixture::ExpectBatchBuildsMatchScalar(kCapacity, options, stream);
+  EXPECT_EQ(build.failures, 0u);
+
+  // The stream forwarded duplicate fingerprints, so the skip ran: without
+  // it the spare ends up different.
+  PrefixFilter<TypeParam> keep_duplicates(kCapacity);
+  for (uint64_t k : stream) keep_duplicates.Insert(k);
+  PrefixFilter<TypeParam> skip_duplicates(kCapacity, options);
+  skip_duplicates.InsertBatch(stream.data(), stream.size());
+  std::vector<uint8_t> kept, skipped;
+  keep_duplicates.spare().SerializeTo(&kept);
+  skip_duplicates.spare().SerializeTo(&skipped);
+  EXPECT_FALSE(kept == skipped);
+}
+
 // --- Devirtualized AnyFilter batch path ------------------------------------
 //
 // FilterAdapter::ContainsBatch dispatches once per batch and then runs a
@@ -194,6 +307,31 @@ TEST(AnyFilterBatch, ScalarFallbackBackendsMatchScalar) {
   // scalar loop (not per-key virtual dispatch) must still agree.
   for (const char* name : {"BF-12", "CF-8", "TC"}) {
     CheckAnyFilterBatchParity(name, 20000, 307);
+  }
+}
+
+static_assert(HasInsertBatch<PrefixFilter<SpareTcTraits>>::value,
+              "the adapter must route PF inserts to InsertBatch");
+static_assert(!HasInsertBatch<TwoChoicer>::value,
+              "filters without InsertBatch keep the scalar loop");
+
+TEST(AnyFilterBatch, PrefixFilterInsertBatchMatchesScalarLoop) {
+  // The adapter routes to PrefixFilter::InsertBatch: the batched build's
+  // snapshot must equal a per-key virtual Insert() build's.
+  for (const char* name : {"PF[TC]", "PF[BBF-Flex]", "PF[CF12-Flex]"}) {
+    const uint64_t n = 20000;
+    auto batched = MakeFilter(name, n, 403);
+    auto scalar = MakeFilter(name, n, 403);
+    ASSERT_NE(batched, nullptr) << name;
+    const auto keys = RandomKeys(n, 404);
+    uint64_t scalar_failures = 0;
+    for (uint64_t k : keys) scalar_failures += !scalar->Insert(k);
+    EXPECT_EQ(batched->InsertBatch(keys.data(), keys.size()), scalar_failures)
+        << name;
+    std::vector<uint8_t> batched_image, scalar_image;
+    ASSERT_TRUE(batched->SerializeTo(&batched_image));
+    ASSERT_TRUE(scalar->SerializeTo(&scalar_image));
+    EXPECT_TRUE(batched_image == scalar_image) << name;
   }
 }
 

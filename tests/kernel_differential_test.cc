@@ -384,22 +384,32 @@ TEST(KernelGoldenDigest, SerializedBytesAndAnswerStreamMatchGolden) {
   }
 }
 
-// The prefix filter's batch path, pinned the same way: PF[TC] loaded past
-// bin overflow (so spare probes occur), its snapshot bytes, and the
-// ContainsBatch answer stream at every batch size.  A rewrite of the batch
-// pipeline must reproduce this digest unchanged.
+// The prefix filter's batch paths, pinned the same way: PF[TC] loaded past
+// bin overflow (so spare inserts and probes occur), its snapshot bytes, and
+// the ContainsBatch answer stream at every batch size.  The filter is built
+// twice, by an Insert() loop and by InsertBatch in 4096-key batches; both
+// builds must reproduce this digest unchanged, as must a rewrite of either
+// batch pipeline.
 constexpr uint64_t kPrefixFilterTcGoldenDigest = 0xbe6e68fbb1706904ull;
 
-TEST(KernelGoldenDigest, PrefixFilterTcSnapshotAndBatchAnswersMatchGolden) {
+uint64_t PrefixFilterTcDigest(bool batched_build) {
   constexpr uint64_t kCapacity = 10000;
+  constexpr size_t kInsertBatch = 4096;
   PrefixFilter<SpareTcTraits> filter(kCapacity);
   Xoshiro256 keys_rng(3), probe_rng(4);
   std::vector<uint64_t> keys(kCapacity);
-  for (auto& k : keys) {
-    k = keys_rng.Next();
-    ASSERT_TRUE(filter.Insert(k));
+  for (auto& k : keys) k = keys_rng.Next();
+  uint64_t failures = 0;
+  if (batched_build) {
+    for (size_t base = 0; base < keys.size(); base += kInsertBatch) {
+      const size_t n = std::min(kInsertBatch, keys.size() - base);
+      failures += filter.InsertBatch(keys.data() + base, n);
+    }
+  } else {
+    for (uint64_t k : keys) failures += !filter.Insert(k);
   }
-  ASSERT_GT(filter.stats().spare_inserts, 0u);
+  EXPECT_EQ(failures, 0u);
+  EXPECT_GT(filter.stats().spare_inserts, 0u);
   std::vector<uint8_t> image;
   filter.SerializeTo(&image);
   uint64_t digest = Fnv1a(image.data(), image.size(), 1469598103934665603ull);
@@ -417,9 +427,17 @@ TEST(KernelGoldenDigest, PrefixFilterTcSnapshotAndBatchAnswersMatchGolden) {
     }
     digest = Fnv1a(out.data(), out.size(), digest);
   }
-  EXPECT_EQ(digest, kPrefixFilterTcGoldenDigest)
-      << "PF[TC]: actual digest 0x" << std::hex << digest
-      << " — snapshot bytes or batch answer stream changed";
+  return digest;
+}
+
+TEST(KernelGoldenDigest, PrefixFilterTcSnapshotAndBatchAnswersMatchGolden) {
+  for (const bool batched_build : {false, true}) {
+    const uint64_t digest = PrefixFilterTcDigest(batched_build);
+    EXPECT_EQ(digest, kPrefixFilterTcGoldenDigest)
+        << "PF[TC] built by " << (batched_build ? "InsertBatch" : "Insert")
+        << ": actual digest 0x" << std::hex << digest
+        << " — snapshot bytes or batch answer stream changed";
+  }
 }
 
 // --- wire CRC-32: kernel parity and golden values ---------------------------

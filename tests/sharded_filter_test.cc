@@ -217,6 +217,27 @@ TEST(ShardedFilter, SnapshotRoundTripsBitExactly) {
   EXPECT_EQ(DeserializeFilter(bytes.data(), bytes.size()), nullptr);
 }
 
+// InsertBatch groups keys by shard and runs each group through the shard's
+// batched insert; applied in order within each shard, the image equals a
+// scalar Insert() loop's byte for byte (filters, spares and shard stats).
+TEST(ShardedFilter, BatchedFillSerializesLikeScalarFill) {
+  const uint64_t n = 50000;
+  auto batched = MakeSharded(n, 16, 186);
+  auto scalar = MakeSharded(n, 16, 186);
+  ASSERT_NE(batched, nullptr);
+  ASSERT_NE(scalar, nullptr);
+  const auto keys = RandomKeys(n, 187);
+  for (uint64_t k : keys) ASSERT_TRUE(scalar->Insert(k));
+  for (size_t base = 0; base < keys.size(); base += 4096) {
+    const size_t count = std::min<size_t>(4096, keys.size() - base);
+    ASSERT_EQ(batched->InsertBatch(keys.data() + base, count), 0u);
+  }
+  std::vector<uint8_t> batched_bytes, scalar_bytes;
+  ASSERT_TRUE(batched->SerializeTo(&batched_bytes));
+  ASSERT_TRUE(scalar->SerializeTo(&scalar_bytes));
+  EXPECT_TRUE(batched_bytes == scalar_bytes);
+}
+
 // Every bound check on snapshot input, one corruption each.  Layout: the
 // PFAE envelope (u32 magic, u8 version, u32 name length, name), then u8
 // payload version, u32 shard count, u64 capacity, u64 seed, and per shard
