@@ -30,6 +30,7 @@
 #include <cstring>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/net/membership_client.h"
@@ -208,13 +209,15 @@ int Demo() {
     std::fprintf(stderr, "snapshot failed: %s\n", client.error().c_str());
     return 1;
   }
-  auto restored = FilterService::Restore(snapshot.data(), snapshot.size());
+  auto restored = prefixfilter::ShardedFilter::Deserialize(snapshot.data(),
+                                                          snapshot.size());
   if (restored == nullptr) {
     std::fprintf(stderr, "restore failed\n");
     return 1;
   }
-  FilterService revived(restored, FilterServiceOptions{});
-  const auto answers2 = revived.QueryBatch(probe).get();
+  FilterService revived(std::move(restored), FilterServiceOptions{});
+  std::vector<uint8_t> answers2(probe.size());
+  revived.QueryBatchSync(probe.data(), probe.size(), answers2.data());
   uint64_t disagreements = 0;
   for (size_t i = 0; i < answers.size(); ++i) {
     disagreements += answers[i] != answers2[i];

@@ -1,7 +1,7 @@
 // Fuzz target: the PFAE snapshot surface.  Every input goes to both
 // restore paths: DeserializeFilter, which every factory configuration (all
-// 11 concrete families) restores through, and FilterService::Restore, the
-// sharded service's SHARD<n>[PF[TC]] snapshots.
+// 11 concrete families) restores through, and ShardedFilter::Deserialize,
+// which restores the sharded service's SHARD<n>[PF[TC]] snapshots.
 //
 // Any input must either be rejected (nullptr) or produce a fully working
 // filter: queries answer, serialization round-trips, and the round-tripped
@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "src/core/filter_factory.h"
-#include "src/service/filter_service.h"
+#include "src/service/sharded_filter.h"
 
 namespace {
 
@@ -46,8 +46,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (auto filter = prefixfilter::DeserializeFilter(data, size)) {
     Exercise(*filter, prefixfilter::DeserializeFilter);
   }
-  if (auto sharded = prefixfilter::FilterService::Restore(data, size)) {
-    Exercise(*sharded, prefixfilter::FilterService::Restore);
+  if (auto sharded = prefixfilter::ShardedFilter::Deserialize(data, size)) {
+    Exercise(*sharded, prefixfilter::ShardedFilter::Deserialize);
   }
   return 0;
 }

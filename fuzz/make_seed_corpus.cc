@@ -275,7 +275,7 @@ void MakeDeserializeFilterSeeds(const fs::path& dir) {
     WriteSeed(dir, file + ".bin", bytes);
   }
 
-  // The sharded service snapshot (FilterService::Restore's input), which
+  // The sharded service snapshot (ShardedFilter::Deserialize's input), which
   // is not a factory configuration.
   auto sharded = prefixfilter::ShardedFilter::Make(
       1u << 10, {.num_shards = 16, .seed = 42});

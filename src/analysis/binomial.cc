@@ -1,12 +1,26 @@
 #include "src/analysis/binomial.h"
 
+#include <math.h>
+
 #include <cmath>
 
 namespace prefixfilter::analysis {
 
+namespace {
+
+// std::lgamma stores the sign of Γ(x) in the global `signgam`, so filters
+// constructed on two threads at once (concurrent snapshot restores) race on
+// it.  lgamma_r returns the sign through a local instead.
+double LogGamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
+}  // namespace
+
 double LogBinomialCoefficient(double n, double k) {
   if (k < 0 || k > n) return -INFINITY;
-  return std::lgamma(n + 1) - std::lgamma(k + 1) - std::lgamma(n - k + 1);
+  return LogGamma(n + 1) - LogGamma(k + 1) - LogGamma(n - k + 1);
 }
 
 double LogBinomialPmf(double n, double p, double k) {

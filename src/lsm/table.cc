@@ -61,7 +61,7 @@ std::optional<uint64_t> Table::Get(uint64_t key) const {
   // Table-level gate: one sharded-filter probe instead of a walk over every
   // run's filter (no false negatives, so a miss proves absence).
   if (ServiceGateUsable() && !runs_.empty() &&
-      !options_.filter_service->Contains(key)) {
+      !options_.filter_service->filter().Contains(key)) {
     return std::nullopt;
   }
   // Newest run first: later writes shadow earlier ones.
@@ -76,7 +76,9 @@ std::vector<std::optional<uint64_t>> Table::MultiGet(
   std::vector<std::optional<uint64_t>> results(keys.size());
   std::vector<uint8_t> maybe_present;
   if (ServiceGateUsable() && !runs_.empty()) {
-    maybe_present = options_.filter_service->QueryBatch(keys).get();
+    maybe_present.resize(keys.size());
+    options_.filter_service->QueryBatchSync(keys.data(), keys.size(),
+                                            maybe_present.data());
   }
   for (size_t i = 0; i < keys.size(); ++i) {
     if (const auto it = memtable_.find(keys[i]); it != memtable_.end()) {

@@ -48,7 +48,7 @@ class Table {
 
   // Batched point lookups (results positionally parallel to `keys`).  With a
   // filter_service configured, the table-level gate for the whole batch is
-  // one QueryBatch round-trip through the service's shard-routing path.
+  // one QueryBatchSync call through the service's shard-routing path.
   std::vector<std::optional<uint64_t>> MultiGet(
       const std::vector<uint64_t>& keys) const;
 

@@ -19,6 +19,13 @@
 
 namespace prefixfilter::net {
 
+namespace {
+
+// Frame files one client writes at most under ClientOptions::record_frames_dir.
+constexpr size_t kRecordFramesLimit = 256;
+
+}  // namespace
+
 MembershipClient::MembershipClient(ClientOptions options)
     : options_(std::move(options)) {
   if (options_.max_batch_keys == 0) options_.max_batch_keys = 1;
@@ -87,7 +94,7 @@ void MembershipClient::Fail(const std::string& message) { error_ = message; }
 void MembershipClient::RecordFrameBytes(const char* tag, const uint8_t* data,
                                         size_t len) {
   if (options_.record_frames_dir.empty() ||
-      frames_recorded_ >= options_.record_frames_limit) {
+      frames_recorded_ >= kRecordFramesLimit) {
     return;
   }
   // One file per frame, named uniquely per client instance so concurrent

@@ -44,12 +44,11 @@ struct ClientOptions {
   // Non-empty: mirror every request frame this client puts on the wire and
   // every response frame it decodes into one file per frame under this
   // directory (which must exist) — genuine wire bytes for the fuzz seed
-  // corpora (`net_loadgen --record-frames=DIR`).  Capped per client by
-  // record_frames_limit so a long run cannot fill the disk.
+  // corpora (`net_loadgen --record-frames=DIR`).  Capped at 256 files per
+  // client (kRecordFramesLimit) so a long run cannot fill the disk.
   // The explicit initializer keeps designated aggregate inits of
   // ClientOptions clean under -Wmissing-field-initializers.
   std::string record_frames_dir{};
-  size_t record_frames_limit = 256;
   // Fraction of QUERY_BATCH frames (single-frame and pipelined) sent with a
   // kFlagTraced context prefix, client-sampled (0 disables, >= 1 traces every
   // frame).  The flag rides the query frame itself; no extra exchange.

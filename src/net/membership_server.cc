@@ -82,7 +82,7 @@ MembershipServer::MembershipServer(std::shared_ptr<FilterService> service,
       wakeup_delay_hist_(registry_->GetHistogram("net.loop.wakeup.delay.ns")),
       completions_depth_hist_(
           registry_->GetHistogram("net.loop.completions.depth")),
-      trace_sink_(options_.trace_capacity) {
+      trace_sink_(kTraceRingCapacity) {
   // Map the sampling rate onto the full u64 PRNG range once; the hot path
   // then decides with one compare.  rate >= 1 must not round through the
   // double->u64 cast (2^64 is not representable), so it clamps explicitly.
@@ -243,14 +243,14 @@ bool MembershipServer::Start() {
     // Loop 0 resolves port 0; its siblings bind the port it got.
     loops_[i]->listen_fd =
         OpenListener(options_.bind_address, i == 0 ? options_.port : port_,
-                     options_.backlog, reuseport, &port_, &error_);
+                     kListenBacklog, reuseport, &port_, &error_);
     if (loops_[i]->listen_fd < 0) return false;
   }
 
   if (options_.enable_http) {
     loops_[0]->http_listen_fd =
         OpenListener(options_.bind_address, options_.http_port,
-                     options_.backlog, /*reuseport=*/false, &http_port_,
+                     kListenBacklog, /*reuseport=*/false, &http_port_,
                      &error_);
     if (loops_[0]->http_listen_fd < 0) return false;  // Stop() cleans up
   }
@@ -446,7 +446,7 @@ void MembershipServer::AcceptAll(Loop& loop, int listen_fd, bool is_http) {
       return;  // wait for the next poller wakeup
     }
     if (open_connections_.load(std::memory_order_relaxed) >=
-        options_.max_connections) {
+        kMaxConnections) {
       ::close(fd);
       connections_dropped_.fetch_add(1, std::memory_order_relaxed);
       continue;
@@ -472,13 +472,10 @@ void MembershipServer::AcceptAll(Loop& loop, int listen_fd, bool is_http) {
 bool MembershipServer::ServeConnection(Loop& loop, Connection& conn) {
   // Drain the socket (level-triggered pollers re-arm if the 64 KiB scratch
   // fills more than once per wakeup), but never buffer more undecoded input
-  // than max_read_buffer: a flooding client neither grows server memory
+  // than kMaxReadBuffer: a flooding client neither grows server memory
   // without bound nor monopolizes the loop past one capped pass.  Re-entry
   // from DrainCompletions after the peer already half-closed skips straight
   // to the decoder — there is nothing left to read.
-  const size_t read_cap =
-      std::max<size_t>(options_.max_read_buffer,
-                       kMaxPayload + kFrameHeaderBytes);
   const uint32_t inflight_cap = std::max(1u, options_.max_inflight_batches);
   // Trace clock for this serve pass: the read span of any batch admitted
   // below starts here, its decode span where the reads end.
@@ -487,7 +484,7 @@ bool MembershipServer::ServeConnection(Loop& loop, Connection& conn) {
   bool peer_closed = false;
   if (!conn.peer_closed) {
     uint8_t scratch[65536];
-    while (conn.decoder.buffered() < read_cap) {
+    while (conn.decoder.buffered() < kMaxReadBuffer) {
       const ssize_t n = ::recv(conn.fd, scratch, sizeof(scratch), 0);
       if (n > 0) {
         bytes_in_.fetch_add(static_cast<uint64_t>(n),
@@ -755,11 +752,7 @@ void MembershipServer::HandleFrame(
     case Opcode::kSnapshot: {
       obs::ScopedLatency timer(snapshot_request_hist_);
       std::vector<uint8_t> snapshot;
-      if (!service_->Snapshot(&snapshot)) {
-        EncodeErrorResponse(opcode, frame.request_id, ErrorCode::kInternal,
-                            "snapshot serialization failed", &conn.outbox);
-        return;
-      }
+      service_->Snapshot(&snapshot);
       // An image beyond the frame cap cannot be framed (the u32 payload_len
       // would lie); answer with a typed error instead of a frame the client
       // must treat as fatal kBadLength.
@@ -978,7 +971,7 @@ bool MembershipServer::FlushOutbox(Loop& loop, Connection& conn) {
                           static_cast<ptrdiff_t>(conn.outbox_sent));
     conn.outbox_sent = 0;
   }
-  if (conn.outbox.size() - conn.outbox_sent > options_.max_write_buffer) {
+  if (conn.outbox.size() - conn.outbox_sent > kMaxWriteBuffer) {
     conn.dropped = true;  // peer stopped reading; shed the connection
     return false;
   }

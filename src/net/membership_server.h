@@ -61,13 +61,15 @@
 
 namespace prefixfilter::net {
 
+// What a deployment chooses.  The fixed limits (listen backlog, connection
+// cap, per-connection read and write buffer caps, trace ring size) are
+// constants on MembershipServer.
 struct ServerOptions {
   // IPv4 dotted-quad to bind; the loopback default matches the intended
   // deployment behind a local proxy/sidecar (no auth on the wire protocol).
   std::string bind_address = "127.0.0.1";
   // 0 = kernel-assigned ephemeral port, reported by port().
   uint16_t port = 0;
-  int backlog = 128;
   // Event-loop threads.  Each loop owns a Poller and a slice of the
   // connections; >1 binds one SO_REUSEPORT listener per loop (kernel-
   // balanced accept), and Start() fails if any of them cannot bind.  A
@@ -77,18 +79,6 @@ struct ServerOptions {
   // loop stops reading from it (resumes as completions drain).  Clamped to
   // >= 1.  Bounds per-connection server memory and queue share.
   uint32_t max_inflight_batches = 32;
-  // Connections beyond this are accepted and immediately closed (counted
-  // across all loops).
-  size_t max_connections = 1024;
-  // A connection whose outbound buffer exceeds this is dropped (a client
-  // that stops reading must not grow server memory without bound).
-  size_t max_write_buffer = 256u << 20;
-  // Inbound counterpart: once a connection has this much undecoded input
-  // buffered, the event loop stops recv()ing from it for the rest of the
-  // wakeup (level-triggered pollers re-arm), bounding both per-connection
-  // memory and how long one flooding client can monopolize the loop.
-  // Clamped up to one max-size frame so a legal frame always fits.
-  size_t max_read_buffer = kMaxPayload + kFrameHeaderBytes;
   // Serve a plaintext HTTP listener (GET /metrics -> Prometheus text
   // exposition of the metrics registry) on loop 0.  0 = kernel-assigned
   // port, reported by http_port().
@@ -108,8 +98,6 @@ struct ServerOptions {
   // not head-sampled.  Costs one small allocation per merged batch while
   // armed; 0 (the default) disables it.
   uint64_t trace_slow_ns = 0;
-  // Retained traces per ring (sampled and slow each); 0 = default 256.
-  size_t trace_capacity = 0;
 };
 
 // Server-wide counters, readable concurrently with the running server
@@ -176,6 +164,23 @@ class MembershipServer {
   const obs::TraceSink& trace_sink() const { return trace_sink_; }
 
  private:
+  // listen() backlog of every listener (binary and HTTP).
+  static constexpr int kListenBacklog = 128;
+  // Connections beyond this are accepted and immediately closed (counted
+  // across all loops).
+  static constexpr size_t kMaxConnections = 1024;
+  // A connection whose outbound buffer exceeds this is dropped (a client
+  // that stops reading must not grow server memory without bound).
+  static constexpr size_t kMaxWriteBuffer = size_t{256} << 20;
+  // Inbound counterpart: once a connection has this much undecoded input
+  // buffered, the event loop stops recv()ing from it for the rest of the
+  // wakeup (level-triggered pollers re-arm), bounding both per-connection
+  // memory and how long one flooding client can monopolize the loop.  One
+  // max-size frame, so a legal frame always fits.
+  static constexpr size_t kMaxReadBuffer = kMaxPayload + kFrameHeaderBytes;
+  // Retained traces per ring (sampled and slow each).
+  static constexpr size_t kTraceRingCapacity = 256;
+
   struct Connection {
     int fd = -1;
     // Server-wide unique id: completions name connections by id, never by
@@ -328,7 +333,7 @@ class MembershipServer {
   std::atomic<bool> stop_requested_{false};
   bool started_ = false;
   std::atomic<uint64_t> next_conn_id_{1};
-  // Across all loops; checked against options.max_connections on accept.
+  // Across all loops; checked against kMaxConnections on accept.
   std::atomic<size_t> open_connections_{0};
 
   std::atomic<uint64_t> connections_dropped_{0};

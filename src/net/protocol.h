@@ -110,7 +110,7 @@ inline constexpr uint16_t kFlagTraced = 1u << 2;
 enum class ErrorCode : uint32_t {
   kBadRequest = 1,   // well-framed but semantically invalid payload
   kUnsupported = 2,  // unknown opcode
-  kInternal = 3,     // server-side failure (e.g. snapshot serialization)
+  kInternal = 3,     // server-side failure (e.g. snapshot over the frame cap)
 };
 
 // CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) over `len` bytes.  The

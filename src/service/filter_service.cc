@@ -32,38 +32,13 @@ FilterService::FilterService(std::shared_ptr<ShardedFilter> filter,
 
 FilterService::~FilterService() { Stop(); }
 
-std::future<uint64_t> FilterService::InsertBatch(std::vector<uint64_t> keys) {
-  Request request;
-  request.is_insert = true;
-  request.keys = std::move(keys);
-  std::future<uint64_t> result = request.insert_result.get_future();
-  Enqueue(std::move(request));
-  return result;
-}
-
-std::future<std::vector<uint8_t>> FilterService::QueryBatch(
-    std::vector<uint64_t> keys) {
-  Request request;
-  request.is_insert = false;
-  request.keys = std::move(keys);
-  std::future<std::vector<uint8_t>> result =
-      request.query_result.get_future();
-  Enqueue(std::move(request));
-  return result;
-}
-
 void FilterService::QueryBatchAsync(std::vector<uint64_t> keys,
                                     QueryCallback done,
                                     std::shared_ptr<obs::ActiveTrace> trace) {
   Request request;
-  request.is_insert = false;
   request.keys = std::move(keys);
-  request.query_callback = std::move(done);
+  request.done = std::move(done);
   request.trace = std::move(trace);
-  Enqueue(std::move(request));
-}
-
-void FilterService::Enqueue(Request request) {
   if (num_threads_ == 0) {
     Execute(request);
     return;
@@ -91,19 +66,10 @@ void FilterService::Enqueue(Request request) {
 }
 
 void FilterService::Execute(Request& request) {
-  if (request.is_insert) {
-    request.insert_result.set_value(
-        InsertBatchSync(request.keys.data(), request.keys.size()));
-  } else {
-    std::vector<uint8_t> out(request.keys.size());
-    QueryBatchSync(request.keys.data(), request.keys.size(), out.data(),
-                   request.trace.get());
-    if (request.query_callback) {
-      request.query_callback(std::move(out));
-    } else {
-      request.query_result.set_value(std::move(out));
-    }
-  }
+  std::vector<uint8_t> out(request.keys.size());
+  QueryBatchSync(request.keys.data(), request.keys.size(), out.data(),
+                 request.trace.get());
+  request.done(std::move(out));
 }
 
 uint64_t FilterService::InsertBatchSync(const uint64_t* keys, size_t count) {
@@ -136,10 +102,6 @@ void FilterService::QueryBatchSync(const uint64_t* keys, size_t count,
   if (trace != nullptr) {
     trace->AddSpan(obs::TraceStage::kExec, exec_start_ns, obs::NowNanos());
   }
-}
-
-bool FilterService::Contains(uint64_t key) const {
-  return filter_->Contains(key);
 }
 
 void FilterService::WorkerLoop() {
@@ -179,19 +141,14 @@ void FilterService::Drain() {
   while (!queue_.empty() || in_flight_ != 0) idle_.Wait(mutex_);
 }
 
-bool FilterService::Snapshot(std::vector<uint8_t>* out) {
+void FilterService::Snapshot(std::vector<uint8_t>* out) {
   Drain();
-  // Exclusive against Execute: a batch racing the serialization would
-  // otherwise be acknowledged yet only partially captured (its keys in
-  // already-serialized shards silently dropped — false negatives after
-  // Restore).  Held only for the serialization itself.
+  // Exclusive against batch execution: an insert batch racing the
+  // serialization would otherwise be acknowledged yet only partially
+  // captured (its keys in already-serialized shards silently dropped — false
+  // negatives after Deserialize).  Held only for the serialization itself.
   WriterMutexLock snapshot_guard(snapshot_mutex_);
-  return filter_->SerializeTo(out);
-}
-
-std::shared_ptr<ShardedFilter> FilterService::Restore(const uint8_t* data,
-                                                      size_t len) {
-  return ShardedFilter::Deserialize(data, len);
+  filter_->SerializeTo(out);
 }
 
 void FilterService::SetQueryFaultHookForTesting(

@@ -1,11 +1,14 @@
 // Thread-pool front-end over a ShardedFilter: the membership service the
 // ROADMAP's north star asks for (many clients, batched traffic, async).
 //
-// Clients submit whole batches (the unit the paper's evaluation §7.3 uses)
-// and receive std::futures; a fixed pool of workers drains an MPMC request
-// queue, executing each batch through a per-worker BatchRouter so every
-// batch pays one lock acquisition per touched shard and rides the
-// prefetching ContainsBatch path inside each shard.
+// Clients submit whole batches (the unit the paper's evaluation §7.3 uses).
+// Inserts and queries from a thread that may block run synchronously on the
+// caller (InsertBatchSync, QueryBatchSync); a caller that must not wait on
+// the probe (the network event loop) hands a query batch to a fixed pool of
+// workers with QueryBatchAsync and gets the answers through a callback.  Every
+// batch goes through ShardedFilter's thread-local BatchRouter, so it pays one
+// lock acquisition per touched shard and rides the prefetching ContainsBatch
+// path inside each shard.
 //
 // Backpressure: the queue is bounded (options.max_pending); submitters block
 // until a worker frees a slot, so a burst of clients cannot grow the queue
@@ -14,16 +17,16 @@
 // deployments.
 //
 // Snapshot/restore: Snapshot() drains in-flight work and serializes the
-// whole sharded filter through the AnyFilter envelope (ByteWriter wire
-// format); Restore() is the inverse.  The snapshot is a plain byte vector:
-// persist it next to your data like an LSM run's filter block (§1).
+// whole sharded filter (ByteWriter wire format); ShardedFilter::Deserialize
+// is the inverse.  The snapshot is a plain byte vector: persist it next to
+// your data like an LSM run's filter block (§1).
 #ifndef PREFIXFILTER_SRC_SERVICE_FILTER_SERVICE_H_
 #define PREFIXFILTER_SRC_SERVICE_FILTER_SERVICE_H_
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <future>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -56,14 +59,6 @@ class FilterService {
   FilterService(const FilterService&) = delete;
   FilterService& operator=(const FilterService&) = delete;
 
-  // Enqueues a batch insertion; the future yields the number of keys the
-  // filter failed to absorb (0 on full success).
-  std::future<uint64_t> InsertBatch(std::vector<uint64_t> keys);
-
-  // Enqueues a batch query; the future yields one 0/1 byte per key, in the
-  // order submitted.
-  std::future<std::vector<uint8_t>> QueryBatch(std::vector<uint64_t> keys);
-
   // Completion callback for QueryBatchAsync: one 0/1 byte per key, in the
   // order submitted.  Invoked exactly once, on the worker thread that
   // executed the batch (or inline on the submitting thread when the service
@@ -71,49 +66,41 @@ class FilterService {
   // network event loop hands completions back to itself through a wakeup fd.
   using QueryCallback = std::function<void(std::vector<uint8_t> results)>;
 
-  // Callback flavor of QueryBatch: rides the same bounded queue and worker
-  // pool, but delivers results without a future/promise rendezvous, so a
-  // submitter that must not block (an event loop) can decouple decode from
-  // filter execution.  Backpressure is unchanged — submission still blocks
-  // while the queue is at max_pending (callers wanting a hard non-blocking
-  // guarantee must cap their own in-flight count below max_pending).
+  // Enqueues a query batch for the worker pool, so a submitter that must not
+  // wait on the probe (an event loop) can decouple decode from filter
+  // execution.  Submission still blocks while the queue is at max_pending
+  // (callers wanting a hard non-blocking guarantee must cap their own
+  // in-flight count below max_pending).
   // A non-null `trace` rides along: the worker records queue-wait and exec
   // spans into it (plus per-shard probe spans via the thread-local
   // CurrentTrace()) before the callback fires.
   void QueryBatchAsync(std::vector<uint64_t> keys, QueryCallback done,
-                       std::shared_ptr<obs::ActiveTrace> trace = nullptr);
+                       std::shared_ptr<obs::ActiveTrace> trace = nullptr)
+      PF_EXCLUDES(mutex_);
 
   // Synchronous batch entry points for callers that already own a thread
   // (the network event loop hands decoded frames straight here): they bypass
   // the request queue but take the same snapshot shared-lock, feed the same
   // histograms, and ride the same BatchRouter path as queued batches.  Safe
-  // concurrently with queued traffic.
+  // concurrently with queued traffic.  InsertBatchSync returns the number of
+  // keys the filter failed to absorb (0 on full success).
   uint64_t InsertBatchSync(const uint64_t* keys, size_t count);
   // A non-null `trace` receives the exec span and (via CurrentTrace()) the
   // per-shard probe spans recorded while the batch runs.
   void QueryBatchSync(const uint64_t* keys, size_t count, uint8_t* out,
                       obs::ActiveTrace* trace = nullptr);
 
-  // Synchronous single-key fast path (bypasses the queue; safe concurrently
-  // with batch traffic — shard locks serialize).
-  bool Contains(uint64_t key) const;
-
   // Blocks until every previously submitted batch has completed.
   void Drain() PF_EXCLUDES(mutex_);
 
   // Drains, then appends a restorable snapshot of all shards, holding a
-  // service-wide write exclusion while serializing so every batch whose
-  // future resolved before the call is fully in the image (batches submitted
-  // concurrently land entirely before or entirely after it — never half).
-  // Returns false if any shard lacks a wire format.
-  bool Snapshot(std::vector<uint8_t>* out)
+  // service-wide write exclusion while serializing so every batch that
+  // returned or called back before the call is fully in the image (batches
+  // submitted concurrently land entirely before or entirely after it — never
+  // half).  ShardedFilter::Deserialize restores it; wrap the result in a new
+  // FilterService.
+  void Snapshot(std::vector<uint8_t>* out)
       PF_EXCLUDES(mutex_, snapshot_mutex_);
-
-  // Restores the sharded filter from a Snapshot() image (nullptr on
-  // corruption or non-sharded images; see ShardedFilter::Deserialize); wrap
-  // it in a new FilterService.
-  static std::shared_ptr<ShardedFilter> Restore(const uint8_t* data,
-                                                size_t len);
 
   const ShardedFilter& filter() const { return *filter_; }
   uint32_t num_threads() const { return num_threads_; }
@@ -133,14 +120,10 @@ class FilterService {
       PF_EXCLUDES(query_fault_hook_mutex_);
 
  private:
+  // One queued QueryBatchAsync call.
   struct Request {
-    bool is_insert = false;
     std::vector<uint64_t> keys;
-    std::promise<uint64_t> insert_result;
-    std::promise<std::vector<uint8_t>> query_result;
-    // Non-null for QueryBatchAsync requests: invoked with the results
-    // instead of fulfilling query_result.
-    QueryCallback query_callback;
+    QueryCallback done;
     // Enqueue timestamp feeding the service.queue.wait.ns histogram.
     uint64_t enqueue_ns = 0;
     // Non-null when the request is traced: the worker records queue-wait,
@@ -149,7 +132,6 @@ class FilterService {
     std::shared_ptr<obs::ActiveTrace> trace;
   };
 
-  void Enqueue(Request request) PF_EXCLUDES(mutex_);
   void Execute(Request& request);
   void WorkerLoop() PF_EXCLUDES(mutex_);
 

@@ -81,6 +81,9 @@ bool ShardedFilter::ParseName(const std::string& name, uint32_t* num_shards) {
   constexpr size_t kPrefixLen = sizeof(kPrefix) - 1;
   if (name.rfind(kPrefix, 0) != 0) return false;
   size_t i = kPrefixLen;
+  // A leading zero ("SHARD016") would parse to a count whose Name() is
+  // spelled differently, so the name could not round-trip.
+  if (i < name.size() && name[i] == '0') return false;
   uint64_t shards = 0;
   while (i < name.size() && name[i] >= '0' && name[i] <= '9') {
     shards = shards * 10 + static_cast<uint64_t>(name[i] - '0');

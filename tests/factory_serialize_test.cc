@@ -121,7 +121,7 @@ TEST(FactorySerialize, FastMultiBlockConfigsAreRegistered) {
 // The committed deserialize_filter seed corpus must track the registry:
 // fuzz/make_seed_corpus.cc writes one seed per KnownFilterNames() entry
 // (with '[', ']' and '-' spelled '_'), one sharded-service snapshot (the
-// target also feeds FilterService::Restore), plus two envelope-error seeds,
+// target also feeds ShardedFilter::Deserialize), plus two envelope-error seeds,
 // so a seed left behind by a deleted configuration, or a name with no seed,
 // shows up here.
 TEST(FactorySerialize, SeedCorpusMatchesKnownFilterNames) {

@@ -1,12 +1,13 @@
-// Tests for the thread-pool filter service: futures, concurrent clients,
-// backpressure-safe shutdown, stats, snapshot/restore, and the LSM table's
-// shared-service integration.
+// Tests for the thread-pool filter service: synchronous and queued batches,
+// concurrent clients, backpressure-safe shutdown, stats, snapshot/restore,
+// and the LSM table's shared-service integration.
 #include "src/service/filter_service.h"
 
+#include <algorithm>
 #include <atomic>
-#include <future>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,7 +28,7 @@ std::shared_ptr<ShardedFilter> MakeSharded(uint64_t capacity, uint64_t seed,
   return std::shared_ptr<ShardedFilter>(filter.release());
 }
 
-TEST(FilterService, InsertAndQueryBatchesThroughFutures) {
+TEST(FilterService, InsertAndQueryBatchesSynchronously) {
   const uint64_t n = 100000;
   obs::MetricsRegistry registry;  // local: batch histograms count only ours
   FilterServiceOptions options;
@@ -35,19 +36,16 @@ TEST(FilterService, InsertAndQueryBatchesThroughFutures) {
   FilterService service(MakeSharded(n, 191), options);
   const auto keys = RandomKeys(n, 192);
 
-  std::vector<std::future<uint64_t>> inserts;
   const size_t batch = 10000;
   for (size_t base = 0; base < keys.size(); base += batch) {
-    inserts.push_back(service.InsertBatch(std::vector<uint64_t>(
-        keys.begin() + base, keys.begin() + base + batch)));
+    EXPECT_EQ(service.InsertBatchSync(keys.data() + base, batch), 0u);
   }
-  for (auto& f : inserts) EXPECT_EQ(f.get(), 0u);
 
   // Mixed stream: even positions positive, odd almost-surely negative.
   std::vector<uint64_t> stream = RandomKeys(50000, 193);
   for (size_t i = 0; i < stream.size(); i += 2) stream[i] = keys[i % n];
-  auto result = service.QueryBatch(stream).get();
-  ASSERT_EQ(result.size(), 50000u);
+  std::vector<uint8_t> result(stream.size());
+  service.QueryBatchSync(stream.data(), stream.size(), result.data());
   uint64_t negatives_hit = 0;
   for (size_t i = 0; i < result.size(); ++i) {
     if (i % 2 == 0) {
@@ -79,8 +77,9 @@ TEST(FilterService, InsertAndQueryBatchesThroughFutures) {
   EXPECT_EQ(queried->hist.sum, 50000u);
 }
 
-// The worker-pool path is the only one that queues, so it alone feeds the
-// queue-wait histogram and depth gauge; exec-time histograms count batches.
+// QueryBatchAsync is the only path that queues, so it alone feeds the
+// queue-wait histogram and depth gauge; exec-time histograms count batches
+// from every path.
 TEST(FilterService, WorkerPathRecordsQueueAndExecTelemetry) {
   if (!obs::kEnabled) GTEST_SKIP() << "instrumentation compiled out";
   obs::MetricsRegistry registry;  // local: isolated from other tests
@@ -88,69 +87,89 @@ TEST(FilterService, WorkerPathRecordsQueueAndExecTelemetry) {
   options.num_threads = 2;
   options.registry = &registry;
   const uint64_t n = 50000;
+  std::atomic<uint64_t> hits{0};  // outlives the workers that add to it
   FilterService service(MakeSharded(n, 881), options);
   const auto keys = RandomKeys(n, 882);
 
   constexpr size_t kBatch = 5000;
-  std::vector<std::future<uint64_t>> inserts;
   for (size_t base = 0; base < keys.size(); base += kBatch) {
-    inserts.push_back(service.InsertBatch(std::vector<uint64_t>(
-        keys.begin() + base, keys.begin() + base + kBatch)));
+    EXPECT_EQ(service.InsertBatchSync(keys.data() + base, kBatch), 0u);
   }
-  for (auto& f : inserts) EXPECT_EQ(f.get(), 0u);
-  const auto answers =
-      service.QueryBatch(std::vector<uint64_t>(keys.begin(),
-                                               keys.begin() + 10000)).get();
-  ASSERT_EQ(answers.size(), 10000u);
+  for (size_t base = 0; base < keys.size(); base += kBatch) {
+    service.QueryBatchAsync(
+        std::vector<uint64_t>(keys.begin() + base,
+                              keys.begin() + base + kBatch),
+        [&](std::vector<uint8_t> results) {
+          for (uint8_t b : results) hits += b;
+        });
+  }
+  service.Drain();
+  EXPECT_EQ(hits.load(), n);
 
   const auto samples = registry.Collect();
   const obs::MetricSample* wait =
       obs::FindSample(samples, "service.queue.wait.ns");
   ASSERT_NE(wait, nullptr);
-  // Every queued request recorded a wait (n/kBatch inserts + 1 query).
-  EXPECT_EQ(wait->hist.count, n / kBatch + 1);
-  const obs::MetricSample* exec =
+  // Every queued query recorded a wait; the synchronous inserts did not.
+  EXPECT_EQ(wait->hist.count, n / kBatch);
+  const obs::MetricSample* insert_exec =
       obs::FindSample(samples, "service.exec.ns", "op", "insert");
-  ASSERT_NE(exec, nullptr);
-  EXPECT_EQ(exec->hist.count, n / kBatch);
-  EXPECT_GT(exec->hist.Percentile(0.99), 0.0);
+  ASSERT_NE(insert_exec, nullptr);
+  EXPECT_EQ(insert_exec->hist.count, n / kBatch);
+  EXPECT_GT(insert_exec->hist.Percentile(0.99), 0.0);
+  const obs::MetricSample* query_exec =
+      obs::FindSample(samples, "service.exec.ns", "op", "query");
+  ASSERT_NE(query_exec, nullptr);
+  EXPECT_EQ(query_exec->hist.count, n / kBatch);
   const obs::MetricSample* depth =
       obs::FindSample(samples, "service.queue.depth");
   ASSERT_NE(depth, nullptr);
-  EXPECT_EQ(depth->value, 0);  // queue drained once the futures resolved
+  EXPECT_EQ(depth->value, 0);  // queue drained before Drain() returned
 }
 
+// Four clients insert concurrently, then each fires its whole slice at the
+// pool as 1000-key QueryBatchAsync batches without waiting: 40 submits per
+// client against a queue of 8, so submitters park on the max_pending wait.
 TEST(FilterService, ManyConcurrentClients) {
   const uint64_t n = 160000;
+  constexpr int kClients = 4;
+  constexpr size_t kBatch = 1000;
+  // Declared before the service so they outlive its workers.
+  std::atomic<uint64_t> failures{0};
+  std::atomic<uint64_t> answered{0};
   FilterService service(MakeSharded(n, 194),
                         FilterServiceOptions{/*num_threads=*/3,
                                              /*max_pending=*/8});
   const auto keys = RandomKeys(n, 195);
-  constexpr int kClients = 4;
-  std::atomic<uint64_t> failures{0};
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c]() {
       // Each client owns an interleaved slice and submits it in batches.
       std::vector<uint64_t> mine;
       for (uint64_t i = c; i < n; i += kClients) mine.push_back(keys[i]);
-      const size_t batch = 1000;
-      for (size_t base = 0; base < mine.size(); base += batch) {
-        const size_t count = std::min(batch, mine.size() - base);
-        failures += service
-                        .InsertBatch(std::vector<uint64_t>(
-                            mine.begin() + base, mine.begin() + base + count))
-                        .get();
+      for (size_t base = 0; base < mine.size(); base += kBatch) {
+        const size_t count = std::min(kBatch, mine.size() - base);
+        failures += service.InsertBatchSync(mine.data() + base, count);
       }
-      // Immediately read back through the query path.
-      auto result = service.QueryBatch(mine).get();
-      for (uint8_t b : result) {
-        if (!b) failures.fetch_add(1);
+      // Read back through the queued path.
+      for (size_t base = 0; base < mine.size(); base += kBatch) {
+        const size_t count = std::min(kBatch, mine.size() - base);
+        service.QueryBatchAsync(
+            std::vector<uint64_t>(mine.begin() + base,
+                                  mine.begin() + base + count),
+            [&](std::vector<uint8_t> results) {
+              for (uint8_t b : results) {
+                if (!b) failures.fetch_add(1);
+              }
+              answered += results.size();
+            });
       }
     });
   }
   for (auto& t : clients) t.join();
+  service.Drain();
   EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(answered.load(), n);
   EXPECT_EQ(service.filter().TotalStats().inserts, n);
 }
 
@@ -160,8 +179,9 @@ TEST(FilterService, SynchronousModeWorksWithoutThreads) {
                         FilterServiceOptions{/*num_threads=*/0,
                                              /*max_pending=*/1});
   const auto keys = RandomKeys(n, 197);
-  EXPECT_EQ(service.InsertBatch(keys).get(), 0u);
-  auto result = service.QueryBatch(keys).get();
+  EXPECT_EQ(service.InsertBatchSync(keys.data(), keys.size()), 0u);
+  std::vector<uint8_t> result(keys.size());
+  service.QueryBatchSync(keys.data(), keys.size(), result.data());
   for (uint8_t b : result) ASSERT_TRUE(b);
 }
 
@@ -169,9 +189,14 @@ TEST(FilterService, SubmitAfterStopDegradesToSynchronous) {
   const uint64_t n = 10000;
   FilterService service(MakeSharded(n, 198), {});
   const auto keys = RandomKeys(n, 199);
-  EXPECT_EQ(service.InsertBatch(keys).get(), 0u);
+  EXPECT_EQ(service.InsertBatchSync(keys.data(), keys.size()), 0u);
   service.Stop();
-  auto result = service.QueryBatch(keys).get();
+  std::vector<uint8_t> result;
+  service.QueryBatchAsync(keys, [&](std::vector<uint8_t> results) {
+    result = std::move(results);
+  });
+  // No pool left: the callback ran before QueryBatchAsync returned.
+  ASSERT_EQ(result.size(), keys.size());
   for (uint8_t b : result) ASSERT_TRUE(b);
 }
 
@@ -179,28 +204,31 @@ TEST(FilterService, SnapshotRestoreRoundTrip) {
   const uint64_t n = 60000;
   FilterService service(MakeSharded(n, 200, /*shards=*/8), {});
   const auto keys = RandomKeys(n, 201);
-  EXPECT_EQ(service.InsertBatch(keys).get(), 0u);
+  EXPECT_EQ(service.InsertBatchSync(keys.data(), keys.size()), 0u);
 
   std::vector<uint8_t> snapshot;
-  ASSERT_TRUE(service.Snapshot(&snapshot));
-  auto restored = FilterService::Restore(snapshot.data(), snapshot.size());
+  service.Snapshot(&snapshot);
+  auto restored =
+      ShardedFilter::Deserialize(snapshot.data(), snapshot.size());
   ASSERT_NE(restored, nullptr);
   EXPECT_EQ(restored->Name(), service.filter().Name());
 
-  FilterService revived(restored, {});
-  auto result = revived.QueryBatch(keys).get();
+  FilterService revived(std::move(restored), {});
+  std::vector<uint8_t> result(keys.size());
+  revived.QueryBatchSync(keys.data(), keys.size(), result.data());
   for (uint8_t b : result) ASSERT_TRUE(b);
   // The restored filter answers probes identically (same hash seeds).
   const auto probes = RandomKeys(100000, 202);
   for (uint64_t k : probes) {
-    ASSERT_EQ(revived.Contains(k), service.Contains(k));
+    ASSERT_EQ(revived.filter().Contains(k), service.filter().Contains(k));
   }
-  // Restore rejects non-sharded images.
+  // Deserialize rejects non-sharded images.
   auto single = MakeFilter("PF[TC]", 1000, 1);
   std::vector<uint8_t> single_bytes;
   ASSERT_TRUE(single->SerializeTo(&single_bytes));
-  EXPECT_EQ(FilterService::Restore(single_bytes.data(), single_bytes.size()),
-            nullptr);
+  EXPECT_EQ(
+      ShardedFilter::Deserialize(single_bytes.data(), single_bytes.size()),
+      nullptr);
 }
 
 TEST(FilterService, LsmTableUsesSharedServiceAsGate) {
@@ -251,34 +279,35 @@ TEST(FilterService, QueryBatchAsyncDeliversCallbackOffTheSubmittingThread) {
   const uint64_t n = 50000;
   FilterServiceOptions options;
   options.num_threads = 2;
+  // Declared before the service so they outlive its workers.
+  std::vector<uint8_t> results;
+  std::thread::id callback_thread;
   FilterService service(MakeSharded(n, 881), options);
   const auto keys = RandomKeys(n, 882);
-  EXPECT_EQ(service.InsertBatch(keys).get(), 0u);
+  EXPECT_EQ(service.InsertBatchSync(keys.data(), keys.size()), 0u);
 
-  // Callback flavor answers identically to the future flavor, and (with a
-  // worker pool) runs on a worker thread, not the submitter.
-  std::promise<std::vector<uint8_t>> done;
-  std::thread::id callback_thread;
+  // With a worker pool the callback runs on a worker thread, not the
+  // submitter.  Drain() returns only after the callback has, so reading its
+  // captures afterwards is ordered.
   service.QueryBatchAsync(
       std::vector<uint64_t>(keys.begin(), keys.begin() + 4096),
-      [&](std::vector<uint8_t> results) {
+      [&](std::vector<uint8_t> answers) {
         callback_thread = std::this_thread::get_id();
-        done.set_value(std::move(results));
+        results = std::move(answers);
       });
-  const std::vector<uint8_t> results = done.get_future().get();
+  service.Drain();
   ASSERT_EQ(results.size(), 4096u);
   for (size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i], 1) << "false negative at " << i;
   }
   EXPECT_NE(callback_thread, std::this_thread::get_id());
-  service.Drain();
   EXPECT_EQ(service.filter().TotalStats().queries, 4096u);
 }
 
 TEST(FilterService, QueryBatchAsyncRunsInlineWhenSynchronous) {
   FilterService service(MakeSharded(1000, 883), {.num_threads = 0});
   const uint64_t key = 77;
-  EXPECT_EQ(service.InsertBatch({key}).get(), 0u);
+  EXPECT_EQ(service.InsertBatchSync(&key, 1), 0u);
   bool called = false;
   service.QueryBatchAsync({key}, [&](std::vector<uint8_t> results) {
     called = true;

@@ -313,7 +313,8 @@ TEST(MembershipServer, SnapshotOverTheWireRestoresIdenticalService) {
 
   std::vector<uint8_t> snapshot;
   ASSERT_TRUE(client.Snapshot(&snapshot)) << client.error();
-  auto restored = FilterService::Restore(snapshot.data(), snapshot.size());
+  auto restored =
+      ShardedFilter::Deserialize(snapshot.data(), snapshot.size());
   ASSERT_NE(restored, nullptr);
 
   const auto probe = RandomKeys(10000, 502);

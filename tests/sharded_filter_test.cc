@@ -38,9 +38,11 @@ TEST(ShardedFilterName, GrammarAcceptsAndRejects) {
        {"SHARD[PF[TC]]", "SHARD0[PF[TC]]", "SHARD16", "SHARD16[]",
         "SHARD16[PF[TC]", "SHARD16[PF[TC]]]", "SHARDx[PF[TC]]", "PF[TC]",
         "SHARD8192[PF[TC]]", "SHARD4[CF-12-Flex]", "SHARD8[SHARD4[PF[TC]]]",
-        // Non-power-of-two counts are rejected, not rounded: the name is a
-        // registry key and must round-trip through Name() unchanged.
-        "SHARD3[PF[TC]]", "SHARD10[PF[TC]]"}) {
+        // Non-power-of-two counts are rejected, not rounded, and so are
+        // leading zeros: the name is a registry key and must round-trip
+        // through Name() unchanged.
+        "SHARD3[PF[TC]]", "SHARD10[PF[TC]]", "SHARD016[PF[TC]]",
+        "SHARD01[PF[TC]]"}) {
     EXPECT_FALSE(ShardedFilter::ParseName(bad, &num_shards)) << bad;
     EXPECT_EQ(num_shards, 4096u) << bad;
   }

@@ -62,6 +62,7 @@ PARSER_FILES = (
     "src/util/json.cc",
     "src/util/serialize.h",
     "src/core/filter_factory.cc",
+    "src/service/sharded_filter.cc",
 )
 
 # Instrument headers whose mutation methods must compile out.  The first is
