@@ -306,6 +306,7 @@ void MembershipServer::Stop() {
       MutexLock lock(loop->completions_mutex);
       loop->completions.clear();
     }
+    loop->inserts.clear();  // unacknowledged; their connections close below
     for (auto& [fd, conn] : loop->connections) {
       (void)conn;
       ::close(fd);
@@ -370,11 +371,13 @@ void MembershipServer::FinishTrace(obs::ActiveTrace& trace) {
 void MembershipServer::LoopRun(Loop& loop) {
   std::vector<PollEvent> events;
   while (!stop_requested_.load(std::memory_order_acquire)) {
-    if (!loop.poller->Wait(/*timeout_ms=*/500, &events)) break;
+    // With inserts queued the loop only polls between their slices.
+    const int timeout_ms = loop.inserts.empty() ? 500 : 0;
+    if (!loop.poller->Wait(timeout_ms, &events)) break;
     // Busy iterations only: an empty wakeup (timeout) would flood the
     // iteration histogram with 500ms idle samples and bury the signal.
     const uint64_t iter_start_ns =
-        events.empty() ? 0 : obs::NowNanos();
+        events.empty() && loop.inserts.empty() ? 0 : obs::NowNanos();
     for (const PollEvent& event : events) {
       if (event.fd == loop.wake_read_fd) {
         char drain[64];
@@ -406,26 +409,34 @@ void MembershipServer::LoopRun(Loop& loop) {
                         /*dropped=*/event.error || conn.dropped);
       }
     }
+    if (!loop.inserts.empty()) RunInsertSlice(loop);
     if (iter_start_ns != 0) {
       loop_iter_hist_->Record(obs::NowNanos() - iter_start_ns);
     }
   }
-  // Shutdown grace: batches already offloaded get a bounded window to
-  // complete and reach their sockets, so Stop() does not abandon responses
-  // workers have (or are about to have) computed.  Anything still in
-  // flight past the deadline is dropped by Stop() after the pool drains.
+  // Shutdown grace: batches already offloaded, and inserts already queued,
+  // get a bounded window to complete and reach their sockets, so Stop() does
+  // not abandon responses the server has (or is about to have) computed.
+  // Anything still in flight past the deadline is dropped by Stop() after
+  // the pool drains.
   // steady_clock directly (not obs::NowNanos) — the deadline must work
   // with observability compiled out.
   const auto deadline =  // pf-lint: allow(steady-clock)
       std::chrono::steady_clock::now() + std::chrono::seconds(2);
   for (;;) {
     DrainCompletions(loop);
-    const bool inflight = std::any_of(
-        loop.connections.begin(), loop.connections.end(),
-        [](const auto& entry) { return !entry.second.inflight_seqs.empty(); });
+    if (!loop.inserts.empty()) RunInsertSlice(loop);
+    const bool inflight =
+        !loop.inserts.empty() ||
+        std::any_of(loop.connections.begin(), loop.connections.end(),
+                    [](const auto& entry) {
+                      return !entry.second.inflight_seqs.empty();
+                    });
     // Same shutdown deadline as above.  // pf-lint: allow(steady-clock)
     if (!inflight || std::chrono::steady_clock::now() >= deadline) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    if (loop.inserts.empty()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
   }
 }
 
@@ -514,6 +525,9 @@ bool MembershipServer::ServeConnection(Loop& loop, Connection& conn) {
   loop.pending_queries.clear();
   std::shared_ptr<obs::ActiveTrace> pending_trace;
   for (;;) {
+    // Frames behind an insert in progress wait for its ack (read-your-writes);
+    // RunInsertSlice re-serves the connection then.
+    if (conn.insert_pending) break;
     if (conn.inflight_seqs.size() >= inflight_cap) {
       // Backpressure: the connection is at its offload cap.  Stop decoding
       // (complete frames stay buffered in the decoder, unread bytes stay in
@@ -722,21 +736,13 @@ void MembershipServer::HandleFrame(
   // only SUBMITS it, so this barrier response can reach the wire before the
   // query responses do — clients correlate by request id (see protocol.h).
   FlushQueries(loop, conn, pending_trace, pass);
+  if (opcode == Opcode::kInsertBatch) {
+    // Counts its own response frame: a queued insert answers later.
+    HandleInsert(loop, conn, frame.request_id, payload, payload_len);
+    return;
+  }
   frames_sent_.fetch_add(1, std::memory_order_relaxed);
   switch (opcode) {
-    case Opcode::kInsertBatch: {
-      obs::ScopedLatency timer(insert_request_hist_);
-      std::vector<uint64_t> keys;
-      if (!DecodeKeyBatchPayload(payload, payload_len, &keys)) {
-        EncodeErrorResponse(opcode, frame.request_id, ErrorCode::kBadRequest,
-                            "malformed key batch", &conn.outbox);
-        return;
-      }
-      const uint64_t failures =
-          service_->InsertBatchSync(keys.data(), keys.size());
-      EncodeInsertResponse(frame.request_id, failures, &conn.outbox);
-      return;
-    }
     case Opcode::kStats: {
       obs::ScopedLatency timer(stats_request_hist_);
       WireStats wire = CollectWireStats(*service_);
@@ -765,9 +771,68 @@ void MembershipServer::HandleFrame(
       EncodeSnapshotResponse(frame.request_id, snapshot, &conn.outbox);
       return;
     }
+    case Opcode::kInsertBatch:
     case Opcode::kQueryBatch:
       break;  // handled above
   }
+}
+
+void MembershipServer::HandleInsert(Loop& loop, Connection& conn,
+                                    uint64_t request_id,
+                                    const uint8_t* payload,
+                                    size_t payload_len) {
+  const uint64_t decode_ns = obs::NowNanos();
+  std::vector<uint64_t> keys;
+  if (!DecodeKeyBatchPayload(payload, payload_len, &keys)) {
+    EncodeErrorResponse(Opcode::kInsertBatch, request_id,
+                        ErrorCode::kBadRequest, "malformed key batch",
+                        &conn.outbox);
+    frames_sent_.fetch_add(1, std::memory_order_relaxed);
+    insert_request_hist_->Record(obs::NowNanos() - decode_ns);
+    return;
+  }
+  if (keys.size() <= kInsertSliceKeys) {
+    AckInsert(conn, request_id,
+              service_->InsertBatchSync(keys.data(), keys.size()), decode_ns);
+    return;
+  }
+  InsertWork& work = loop.inserts.emplace_back();
+  work.conn_id = conn.id;
+  work.request_id = request_id;
+  work.decode_ns = decode_ns;
+  work.keys = std::move(keys);
+  FilterService::StartInsert(work.keys.data(), work.keys.size(), &work.job);
+  conn.insert_pending = true;
+}
+
+void MembershipServer::AckInsert(Connection& conn, uint64_t request_id,
+                                 uint64_t failures, uint64_t decode_ns) {
+  EncodeInsertResponse(request_id, failures, &conn.outbox);
+  frames_sent_.fetch_add(1, std::memory_order_relaxed);
+  insert_request_hist_->Record(obs::NowNanos() - decode_ns);
+}
+
+void MembershipServer::RunInsertSlice(Loop& loop) {
+  InsertWork& work = loop.inserts.front();
+  const auto id_it = loop.fd_by_conn_id.find(work.conn_id);
+  if (id_it == loop.fd_by_conn_id.end()) {
+    // The connection closed mid-insert: nobody is left to acknowledge.
+    loop.inserts.pop_front();
+    return;
+  }
+  if (!service_->InsertSlice(&work.job, kInsertSliceKeys)) return;
+  const int fd = id_it->second;
+  Connection& conn = loop.connections.at(fd);
+  AckInsert(conn, work.request_id, work.job.sharded.failures(),
+            work.decode_ns);
+  // Popped before the re-serve, which may queue this connection's next
+  // insert.
+  loop.inserts.pop_front();
+  conn.insert_pending = false;
+  // Reads before the ack is flushed, so the frames behind the insert are
+  // decoded now, and a peer that closed mid-insert reads as EOF rather than
+  // as the reset its close draws once the ack reaches it.
+  if (!ServeConnection(loop, conn)) CloseConnection(loop, fd, conn.dropped);
 }
 
 void MembershipServer::FlushQueries(
@@ -981,7 +1046,8 @@ bool MembershipServer::FlushOutbox(Loop& loop, Connection& conn) {
   // it keeps only the interest it needs (a level-triggered EOF with read
   // interest would spin the loop).
   if (conn.peer_closed && !HasPendingWork(conn)) return false;
-  const bool want_read = !conn.peer_closed && !conn.read_parked;
+  const bool want_read =
+      !conn.peer_closed && !conn.read_parked && !conn.insert_pending;
   if (want_write != conn.want_write || want_read != conn.want_read) {
     conn.want_write = want_write;
     conn.want_read = want_read;

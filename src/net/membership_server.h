@@ -34,6 +34,22 @@
 // unbounded server memory.  Without workers every batch runs inline,
 // responses in request order.
 //
+// Inserts stay on the loop thread, so they run beside the workers' query
+// probes instead of queueing behind them.  An INSERT_BATCH of at most
+// kInsertSliceKeys keys runs inline and is acknowledged in the same pass.  A
+// larger one joins the loop's FIFO of insert jobs and is applied one slice of
+// kInsertSliceKeys keys per loop iteration; between slices the loop polls
+// with a zero timeout and serves ready reads and worker completions, so no
+// iteration waits on a whole batch.  While a connection has an insert in
+// progress the loop decodes no further frame from it and drops its read
+// interest; the ack is encoded when the last slice lands, and only then does
+// decoding resume.  A connection's frames behind its insert therefore see
+// every key of it (read-your-writes), and a non-pipelining client still gets
+// its answers in request order.  A connection that fails mid-insert (reset,
+// socket error) is closed at once and the rest of its insert is dropped
+// unacknowledged; a peer that only closed its end is not seen until the ack
+// is due, so its insert lands and the ack is encoded for nobody.
+//
 // Lifecycle: Start() binds/listens (port 0 = kernel-assigned, see port()),
 // spawns the loop threads; Stop() wakes every loop through its wakeup pipe,
 // joins them (each loop grants in-flight offloaded batches a short grace
@@ -45,6 +61,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <thread>
@@ -133,6 +150,13 @@ class MembershipServer {
   // single-loop, single-worker server with four synchronous clients, inline
   // serving wins throughput at 128-key batches and loses it from 256 keys up.
   static constexpr size_t kInlineQueryMaxKeys = 256;
+  // Keys one loop iteration applies of a queued INSERT_BATCH (see file
+  // header): about 12 us of PF[TC] inserts, one shard group of a 4096-key
+  // batch at 16 shards.  On a one-loop, one-worker server with one client
+  // inserting 4096-key batches and one querying, budgets of 128 to 512 keys
+  // cut a 4096-key query's median round trip about equally, 1024 keys cut
+  // it less, and smaller budgets pay one more poll per fewer keys.
+  static constexpr size_t kInsertSliceKeys = 256;
 
   MembershipServer(std::shared_ptr<FilterService> service,
                    ServerOptions options = {});
@@ -205,6 +229,10 @@ class MembershipServer {
     // Backpressure park flag: read interest dropped until completions bring
     // the in-flight count back under the cap.
     bool read_parked = false;
+    // An INSERT_BATCH of this connection sits in the loop's insert FIFO:
+    // nothing more is decoded, and read interest stays dropped, until its
+    // ack is encoded.
+    bool insert_pending = false;
     // Per-connection submit sequence numbers of the offloaded batches not
     // yet completed, oldest first; its size is the in-flight count, and
     // completing anything but the front is a reordered response.
@@ -233,6 +261,17 @@ class MembershipServer {
     std::shared_ptr<obs::ActiveTrace> trace;
   };
 
+  // A large INSERT_BATCH applied in slices between polls (see
+  // RunInsertSlice).
+  struct InsertWork {
+    uint64_t conn_id = 0;
+    uint64_t request_id = 0;
+    // net.server.request.ns{op="insert"} runs from here to the ack.
+    uint64_t decode_ns = 0;
+    std::vector<uint64_t> keys;  // what `job` inserts
+    FilterService::InsertJob job;
+  };
+
   // Everything one event-loop thread owns.  Only that thread touches the
   // poller and connection maps (single-owner discipline, not a mutex —
   // Stop() reads them only after joining the thread); `completions` is the
@@ -255,15 +294,17 @@ class MembershipServer {
     // Serve-pass scratch, reused across passes so the inline query path
     // allocates nothing once warm.  Safe to share across the loop's
     // connections because ServeConnection never runs nested: it is entered
-    // only from LoopRun and DrainCompletions, and nothing it calls reaches
-    // either.  ServeConnection clears the pending batch at the start of each
-    // pass and frees oversized buffers at its end; an offloaded batch takes
-    // pending_keys' buffer with it.
+    // only from LoopRun, DrainCompletions and RunInsertSlice, and nothing it
+    // calls reaches any of them.  ServeConnection clears the pending batch at
+    // the start of each pass and frees oversized buffers at its end; an
+    // offloaded batch takes pending_keys' buffer with it.
     Frame frame;
     std::vector<uint64_t> pending_keys;
     // (request_id, key count) per merged QUERY_BATCH frame, in merge order.
     std::vector<std::pair<uint64_t, uint32_t>> pending_queries;
     std::vector<uint8_t> results;  // inline batch answers
+    // Queued large inserts, oldest first; the front one gets the next slice.
+    std::deque<InsertWork> inserts;
   };
 
   // Per-loop traffic counters behind the loop=<i> metric labels, and the
@@ -296,6 +337,16 @@ class MembershipServer {
   void HandleFrame(Loop& loop, Connection& conn,
                    std::shared_ptr<obs::ActiveTrace>* pending_trace,
                    const ServePass& pass);
+  // Serves one INSERT_BATCH payload: inline and acknowledged at once when it
+  // fits in one slice, else queued on the loop's insert FIFO.
+  void HandleInsert(Loop& loop, Connection& conn, uint64_t request_id,
+                    const uint8_t* payload, size_t payload_len);
+  // Encodes an INSERT_BATCH ack and counts it.
+  void AckInsert(Connection& conn, uint64_t request_id, uint64_t failures,
+                 uint64_t decode_ns);
+  // Applies one slice of the loop's oldest queued insert; when that lands,
+  // acknowledges it and re-serves its connection.
+  void RunInsertSlice(Loop& loop);
   // Runs the loop's pending query keys as one merged batch: inline when the
   // batch is small and the connection has nothing in flight (one response
   // frame per original request, in request order), else on the worker pool
@@ -315,11 +366,11 @@ class MembershipServer {
   // Attempts a non-blocking drain of conn.outbox; updates poller interest.
   bool FlushOutbox(Loop& loop, Connection& conn);
   void CloseConnection(Loop& loop, int fd, bool dropped);
-  // True while `conn` must survive: outbox bytes unsent or batches in
-  // flight.
+  // True while `conn` must survive: outbox bytes unsent, batches in flight,
+  // or an insert in progress.
   static bool HasPendingWork(const Connection& conn) {
     return conn.outbox_sent < conn.outbox.size() ||
-           !conn.inflight_seqs.empty();
+           !conn.inflight_seqs.empty() || conn.insert_pending;
   }
 
   std::shared_ptr<FilterService> service_;

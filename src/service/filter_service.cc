@@ -79,6 +79,27 @@ uint64_t FilterService::InsertBatchSync(const uint64_t* keys, size_t count) {
   return filter_->InsertBatch(keys, count);
 }
 
+void FilterService::StartInsert(const uint64_t* keys, size_t count,
+                                InsertJob* job) {
+  ShardedFilter::StartInsert(keys, count, &job->sharded);
+  job->exec_ns = 0;
+}
+
+bool FilterService::InsertSlice(InsertJob* job, size_t budget) {
+  const uint64_t start_ns = obs::NowNanos();
+  bool done = false;
+  {
+    ReaderMutexLock snapshot_guard(snapshot_mutex_);
+    done = filter_->InsertSlice(&job->sharded, budget);
+  }
+  job->exec_ns += obs::NowNanos() - start_ns;
+  if (done) {
+    insert_exec_hist_->Record(job->exec_ns);
+    insert_batch_keys_hist_->Record(job->sharded.size());
+  }
+  return done;
+}
+
 void FilterService::QueryBatchSync(const uint64_t* keys, size_t count,
                                    uint8_t* out, obs::ActiveTrace* trace) {
   if (query_fault_hook_armed_.load(std::memory_order_acquire)) {

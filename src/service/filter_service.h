@@ -85,6 +85,24 @@ class FilterService {
   // concurrently with queued traffic.  InsertBatchSync returns the number of
   // keys the filter failed to absorb (0 on full success).
   uint64_t InsertBatchSync(const uint64_t* keys, size_t count);
+
+  // The same insert applied in slices, for a caller that must bound how long
+  // one call runs (the network event loop applies a large INSERT_BATCH
+  // between polls).  StartInsert points `job` at the keys, which must stay
+  // alive until the batch lands; each InsertSlice applies up to `budget`
+  // more of them (ShardedFilter::InsertSlice) under the snapshot reader lock
+  // and returns true once the whole batch has landed, with
+  // job->sharded.failures() the keys the filter failed to absorb.  The
+  // insert histograms record once per batch, when it lands:
+  // service.exec.ns as the sum of the slice times.  A Snapshot() between
+  // two slices holds the batch's earlier slices only; a landed batch is
+  // whole in every later image.
+  struct InsertJob {
+    ShardedFilter::InsertJob sharded;
+    uint64_t exec_ns = 0;
+  };
+  static void StartInsert(const uint64_t* keys, size_t count, InsertJob* job);
+  bool InsertSlice(InsertJob* job, size_t budget) PF_EXCLUDES(snapshot_mutex_);
   // A non-null `trace` receives the exec span and (via CurrentTrace()) the
   // per-shard probe spans recorded while the batch runs.
   void QueryBatchSync(const uint64_t* keys, size_t count, uint8_t* out,
@@ -97,7 +115,8 @@ class FilterService {
   // service-wide write exclusion while serializing so every batch that
   // returned or called back before the call is fully in the image (batches
   // submitted concurrently land entirely before or entirely after it — never
-  // half).  ShardedFilter::Deserialize restores it; wrap the result in a new
+  // half; a sliced insert lands slice by slice, see InsertSlice).
+  // ShardedFilter::Deserialize restores it; wrap the result in a new
   // FilterService.
   void Snapshot(std::vector<uint8_t>* out)
       PF_EXCLUDES(mutex_, snapshot_mutex_);

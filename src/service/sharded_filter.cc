@@ -23,6 +23,9 @@ constexpr uint64_t kMaxCapacity = uint64_t{1} << 48;
 //   n/N + kHeadroomStddevs * sqrt(n * (1/N) * (1 - 1/N)) + 16.
 constexpr double kHeadroomStddevs = 4.0;
 constexpr uint8_t kSnapshotVersion = 2;
+// Keys an InsertJob groups at a time: one 4096-key batch, the unit perfbench
+// and the load generators send.
+constexpr size_t kInsertChunkKeys = 4096;
 // Name() is "SHARD<n>" followed by this.
 constexpr char kShardSuffix[] = "[PF[TC]]";
 
@@ -175,17 +178,61 @@ uint64_t ShardedFilter::InsertShard(uint32_t shard_index,
   return failures;
 }
 
+void ShardedFilter::StartInsert(const uint64_t* keys, size_t count,
+                                InsertJob* job) {
+  job->keys_ = keys;
+  job->count_ = count;
+  job->next_key_ = 0;
+  job->grouped_.clear();
+  job->groups_.clear();
+  job->next_group_ = 0;
+  job->next_grouped_ = 0;
+  job->failures_ = 0;
+}
+
+bool ShardedFilter::InsertSlice(InsertJob* job, size_t budget) {
+  while (budget > 0 && !job->done()) {
+    if (job->next_group_ == job->groups_.size()) {
+      const uint64_t* chunk = job->keys_ + job->next_key_;
+      const size_t n = std::min(kInsertChunkKeys, job->count_ - job->next_key_);
+      job->next_key_ += n;
+      job->grouped_.clear();
+      job->groups_.clear();
+      job->next_group_ = 0;
+      job->next_grouped_ = 0;
+      // Mirrors the ContainsBatch single-shard fast path: nothing to group.
+      if (shard_bits_ == 0) {
+        job->grouped_.assign(chunk, chunk + n);
+        job->groups_.push_back({0, n});
+      } else {
+        ThreadLocalRouter().GroupByShard(
+            *this, chunk, n,
+            [job](uint32_t shard, const uint64_t* group, size_t group_n) {
+              job->grouped_.insert(job->grouped_.end(), group,
+                                   group + group_n);
+              job->groups_.push_back({shard, job->grouped_.size()});
+            });
+      }
+    }
+    const InsertJob::Group& group = job->groups_[job->next_group_];
+    const size_t n = std::min(budget, group.end - job->next_grouped_);
+    job->failures_ += InsertShard(
+        group.shard, job->grouped_.data() + job->next_grouped_, n);
+    job->next_grouped_ += n;
+    budget -= n;
+    if (job->next_grouped_ == group.end) ++job->next_group_;
+  }
+  return job->done();
+}
+
 uint64_t ShardedFilter::InsertBatch(const uint64_t* keys, size_t count) {
-  // Mirrors the ContainsBatch fast paths: no grouping work when there is
-  // nothing to group.
+  // Mirrors the ContainsBatch scalar fast path.
   if (count == 1) return Insert(keys[0]) ? 0 : 1;
-  if (shard_bits_ == 0) return InsertShard(0, keys, count);
-  uint64_t failures = 0;
-  ThreadLocalRouter().GroupByShard(
-      *this, keys, count, [&](uint32_t shard, const uint64_t* group, size_t n) {
-        failures += InsertShard(shard, group, n);
-      });
-  return failures;
+  // Per-thread job, like the router: no per-call allocation once warm.
+  thread_local InsertJob job;
+  StartInsert(keys, count, &job);
+  InsertSlice(&job, count);
+  return job.failures();
 }
 
 bool ShardedFilter::SerializeTo(std::vector<uint8_t>* out) const {

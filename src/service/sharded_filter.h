@@ -108,9 +108,47 @@ class ShardedFilter final : public AnyFilter {
   // Returns the number of failed inserts.
   uint64_t InsertShard(uint32_t shard, const uint64_t* keys, size_t count);
 
-  // Grouped insert (counting-sort by shard, then one lock + one concrete
-  // batch call per shard).  Returns the number of failed inserts, per the
-  // AnyFilter contract.
+  // A grouped insert that can be applied in slices.  Each InsertSlice call
+  // applies up to `budget` more keys through InsertShard.  The batch is
+  // grouped by shard (BatchRouter::GroupByShard) 4096 keys at a time, into
+  // the job's own buffer, so no call does work proportional to the whole
+  // batch; a shard group larger than the budget is split across calls.
+  // Keys reach each shard in input order, as in a whole-batch grouping, and
+  // PrefixFilter applies a batch in input order, so a sliced batch leaves
+  // the filter exactly as an unsliced one.
+  class InsertJob {
+   public:
+    bool done() const {
+      return next_key_ == count_ && next_group_ == groups_.size();
+    }
+    size_t size() const { return count_; }
+    // Keys the filter failed to absorb in the slices applied so far.
+    uint64_t failures() const { return failures_; }
+
+   private:
+    friend class ShardedFilter;
+    struct Group {
+      uint32_t shard;
+      size_t end;  // one past the group's last key in grouped_
+    };
+    const uint64_t* keys_ = nullptr;  // the caller's batch, ungrouped
+    size_t count_ = 0;
+    size_t next_key_ = 0;  // first key of keys_ not yet grouped
+    std::vector<uint64_t> grouped_;  // the current chunk, grouped by shard
+    std::vector<Group> groups_;
+    size_t next_group_ = 0;
+    size_t next_grouped_ = 0;  // first key of grouped_ not yet applied
+    uint64_t failures_ = 0;
+  };
+  // Resets `job` to insert keys[0..count); the keys must stay alive and
+  // unchanged until the job is done.
+  static void StartInsert(const uint64_t* keys, size_t count, InsertJob* job);
+  // Applies up to `budget` more keys of `job`; true once all are applied.
+  bool InsertSlice(InsertJob* job, size_t budget);
+
+  // Grouped insert run to completion (StartInsert plus one unbounded
+  // InsertSlice).  Returns the number of failed inserts, per the AnyFilter
+  // contract.
   uint64_t InsertBatch(const uint64_t* keys, size_t count) override;
 
   uint64_t per_shard_capacity() const { return per_shard_capacity_; }

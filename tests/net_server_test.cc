@@ -15,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -979,6 +980,317 @@ TEST(MembershipServer, StopDrainsInflightOffloadedWorkAndLeaksNoFds) {
   }
   // Server loops, listeners, wake pipes, pollers, and both clients are gone.
   EXPECT_EQ(CountOpenFds(), fds_before);
+}
+
+// --- sliced inserts ----------------------------------------------------------
+
+// Many slices of MembershipServer::kInsertSliceKeys each.
+constexpr size_t kSlicedInsertKeys = 20000;
+// The largest INSERT_BATCH a frame carries: tens of ms of loop work.
+constexpr size_t kHugeInsertKeys = kMaxKeysPerFrame;
+
+uint64_t SteadyNanos() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+obs::HistogramSnapshot Hist(obs::MetricsRegistry& registry, const char* name,
+                            const char* op = nullptr) {
+  obs::MetricsRegistry::Labels labels;
+  if (op != nullptr) labels = {{"op", op}};
+  return registry.GetHistogram(name, labels)->Snapshot();
+}
+
+// Waits until the shards counted more than `keys` inserts (a queued insert
+// has started landing); false after 30 s.
+bool WaitForInserts(const FilterService& service, uint64_t keys) {
+  for (int i = 0; i < 30000; ++i) {
+    if (service.filter().TotalStats().inserts > keys) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return false;
+}
+
+TEST(MembershipServer, FramesBehindASlicedInsertWaitForItsAck) {
+  obs::MetricsRegistry registry;
+  auto service = MakeThreadedService(kSlicedInsertKeys, /*num_threads=*/1,
+                                     &registry);
+  ServerOptions options;
+  options.registry = &registry;
+  MembershipServer server(service, options);
+  ASSERT_TRUE(server.Start()) << server.error();
+
+  // One connection pipelines the insert and then queries of the same keys,
+  // without waiting for the ack.
+  const auto keys = RandomKeys(kSlicedInsertKeys, 961);
+  std::vector<uint8_t> insert_frame, query_frames;
+  EncodeKeyBatchRequest(Opcode::kInsertBatch, /*request_id=*/1, keys.data(),
+                        keys.size(), &insert_frame);
+  constexpr size_t kFrameKeys = 1000;
+  uint64_t next_id = 2;
+  for (size_t base = 0; base < keys.size(); base += kFrameKeys) {
+    EncodeKeyBatchRequest(Opcode::kQueryBatch, next_id++, keys.data() + base,
+                          std::min(kFrameKeys, keys.size() - base),
+                          &query_frames);
+  }
+  // The insert frame's last byte travels with the query frames, so the
+  // server decodes the insert with query frames already buffered behind it:
+  // decoding any of them before the ack would probe a half-built filter.
+  RawConn conn(server.port());
+  std::vector<uint8_t> tail(insert_frame.end() - 1, insert_frame.end());
+  insert_frame.pop_back();
+  conn.Send(insert_frame);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  tail.insert(tail.end(), query_frames.begin(), query_frames.end());
+  conn.Send(tail);
+
+  Frame ack;
+  conn.ReadFrame(&ack);
+  ASSERT_EQ(ack.request_id, 1u) << "the insert ack must arrive first";
+  uint64_t failures = 1;
+  ASSERT_TRUE(DecodeInsertResponsePayload(ack.payload.data(),
+                                          ack.payload.size(), &failures));
+  EXPECT_EQ(failures, 0u);
+  std::vector<uint32_t> responses(next_id, 0);
+  for (uint64_t i = 2; i < next_id; ++i) {
+    Frame frame;
+    conn.ReadFrame(&frame);
+    ASSERT_GE(frame.request_id, 2u);
+    ASSERT_LT(frame.request_id, next_id);
+    ++responses[frame.request_id];
+    std::vector<uint8_t> answers;
+    ASSERT_TRUE(DecodeQueryResponsePayload(frame.payload.data(),
+                                           frame.payload.size(), &answers));
+    for (uint8_t a : answers) ASSERT_EQ(a, 1) << "read-your-writes broken";
+  }
+  for (uint64_t id = 2; id < next_id; ++id) EXPECT_EQ(responses[id], 1u);
+
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.frames_received, next_id - 1);
+  EXPECT_EQ(stats.frames_sent, stats.frames_received);
+  EXPECT_EQ(stats.connections_dropped, 0u);
+  if (obs::kEnabled) {
+    // The insert really ran in slices, one per loop iteration.
+    EXPECT_GE(Hist(registry, "net.loop.iter.ns").count,
+              kSlicedInsertKeys / MembershipServer::kInsertSliceKeys);
+  }
+}
+
+TEST(MembershipServer, InsertInstrumentationCountsEachBatchOnce) {
+  if (!obs::kEnabled) GTEST_SKIP() << "instrumentation compiled out";
+  obs::MetricsRegistry registry;
+  auto service = MakeThreadedService(60000, /*num_threads=*/1, &registry);
+  ServerOptions options;
+  options.registry = &registry;
+  MembershipServer server(service, options);
+  ASSERT_TRUE(server.Start()) << server.error();
+
+  // Both sides of the slice budget: inline batches and sliced ones.
+  const size_t budget = MembershipServer::kInsertSliceKeys;
+  const std::vector<size_t> sizes = {1, 100, budget, budget + 1, 5000,
+                                     kSlicedInsertKeys};
+  MembershipClient client(ClientOptions{.port = server.port()});
+  uint64_t total = 0;
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    const auto keys = RandomKeys(sizes[i], 980 + i);
+    uint64_t failures = 0;
+    ASSERT_TRUE(client.InsertBatch(keys.data(), keys.size(), &failures))
+        << client.error();
+    EXPECT_EQ(failures, 0u);
+    total += sizes[i];
+  }
+  const obs::HistogramSnapshot keys_hist =
+      Hist(registry, "service.batch.keys", "insert");
+  const obs::HistogramSnapshot exec_hist =
+      Hist(registry, "service.exec.ns", "insert");
+  const obs::HistogramSnapshot request_hist =
+      Hist(registry, "net.server.request.ns", "insert");
+  EXPECT_EQ(keys_hist.count, sizes.size());
+  EXPECT_EQ(keys_hist.sum, total);
+  EXPECT_EQ(exec_hist.count, sizes.size());
+  EXPECT_EQ(request_hist.count, sizes.size());
+  // Decode to ack spans the exec time (the slices) and the polls between.
+  EXPECT_LE(exec_hist.sum, request_hist.sum);
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.frames_received, client.frames_sent());
+  EXPECT_EQ(stats.frames_sent, stats.frames_received);
+}
+
+// The largest value recorded between two snapshots of one histogram, to
+// bucket precision: the lower bound of the highest bucket that grew.
+uint64_t MaxBetween(const obs::HistogramSnapshot& before,
+                    const obs::HistogramSnapshot& after) {
+  std::map<uint32_t, uint64_t> prior(before.buckets.begin(),
+                                     before.buckets.end());
+  uint64_t max = 0;
+  for (const auto& [index, count] : after.buckets) {
+    if (count > prior[index]) {
+      max = std::max(max, obs::LatencyHistogram::BucketLowerBound(index));
+    }
+  }
+  return max;
+}
+
+TEST(MembershipServer, LoopServesOtherConnectionsBetweenInsertSlices) {
+  obs::MetricsRegistry registry;
+  auto service = MakeThreadedService(2 * kHugeInsertKeys + 4096,
+                                     /*num_threads=*/1, &registry);
+  ServerOptions options;
+  options.registry = &registry;
+  MembershipServer server(service, options);
+  ASSERT_TRUE(server.Start()) << server.error();
+
+  MembershipClient querier(ClientOptions{.port = server.port()});
+  const auto known = RandomKeys(4096, 971);
+  uint64_t failures = 0;
+  ASSERT_TRUE(querier.InsertBatch(known.data(), known.size(), &failures));
+  const auto huge = RandomKeys(2 * kHugeInsertKeys, 972);
+  // A first sends one huge INSERT_BATCH alone, so the server's receive and
+  // decode buffers for an 8 MB frame are warm; receiving the next one then
+  // costs far less than inserting it.
+  MembershipClient client(ClientOptions{.port = server.port()});
+  ASSERT_TRUE(client.InsertBatch(huge.data(), kHugeInsertKeys, &failures));
+  ASSERT_EQ(failures, 0u);
+  const obs::HistogramSnapshot iter_before =
+      Hist(registry, "net.loop.iter.ns");
+  const obs::HistogramSnapshot request_before =
+      Hist(registry, "net.server.request.ns", "insert");
+
+  // A sends a second huge INSERT_BATCH; B loops on 16-key queries until
+  // A's ack.
+  std::atomic<bool> acked{false};
+  uint64_t ack_ns = 0;
+  bool insert_ok = false;
+  std::thread inserter([&] {
+    uint64_t rejected = 0;
+    insert_ok = client.InsertBatch(huge.data() + kHugeInsertKeys,
+                                   kHugeInsertKeys, &rejected) &&
+                rejected == 0;
+    ack_ns = SteadyNanos();
+    acked.store(true, std::memory_order_release);
+  });
+  std::vector<uint64_t> answer_ns;  // when each of B's answers arrived
+  bool queries_ok = true;
+  std::vector<uint8_t> answers;
+  for (size_t call = 0; !acked.load(std::memory_order_acquire); ++call) {
+    const size_t base = (call * 16) % (known.size() - 16);
+    if (!querier.QueryBatch(known.data() + base, 16, &answers)) {
+      queries_ok = false;
+      break;
+    }
+    answer_ns.push_back(SteadyNanos());
+    for (uint8_t a : answers) queries_ok &= a == 1;
+  }
+  inserter.join();
+  ASSERT_TRUE(insert_ok);
+  ASSERT_TRUE(queries_ok) << querier.error();
+  EXPECT_TRUE(!answer_ns.empty() && answer_ns.front() < ack_ns)
+      << "B got no answer before A's ack";
+
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.frames_sent, stats.frames_received);
+  if (!obs::kEnabled) return;
+  // Ratios, so they hold at any speed (sanitizers included).  B kept being
+  // served in the middle of A's second insert, from half to a quarter of its
+  // decode-to-ack time before the ack reached A (the quarter leaves room for
+  // A's own wakeup); an unsliced insert holds the loop for all of it.  And
+  // no loop iteration meanwhile came near that decode-to-ack time, which an
+  // unsliced insert spends inside one iteration.  The longest one left
+  // receives and decodes A's 8 MB frame: a quarter to a half of the insert
+  // here, mostly first-touch page faults of fresh frame and key buffers.
+  const uint64_t insert_ns =
+      Hist(registry, "net.server.request.ns", "insert").sum -
+      request_before.sum;
+  const size_t served_mid_insert = static_cast<size_t>(std::count_if(
+      answer_ns.begin(), answer_ns.end(), [&](uint64_t t) {
+        return t + insert_ns / 2 > ack_ns && t + insert_ns / 4 < ack_ns;
+      }));
+  EXPECT_GE(served_mid_insert, 10u);
+  EXPECT_LT(MaxBetween(iter_before, Hist(registry, "net.loop.iter.ns")),
+            insert_ns / 4 * 3);
+}
+
+TEST(MembershipServer, ConnectionClosedMidInsertDisturbsNoOtherConnection) {
+  auto service = MakeThreadedService(2 * kHugeInsertKeys + 4096,
+                                     /*num_threads=*/1);
+  MembershipServer server(service, ServerOptions{});
+  ASSERT_TRUE(server.Start()) << server.error();
+  MembershipClient other(ClientOptions{.port = server.port()});
+  const auto known = RandomKeys(4096, 975);
+  uint64_t failures = 0;
+  ASSERT_TRUE(other.InsertBatch(known.data(), known.size(), &failures));
+  const auto huge = RandomKeys(2 * kHugeInsertKeys, 976);
+  std::vector<uint8_t> frame;
+  EncodeKeyBatchRequest(Opcode::kInsertBatch, /*request_id=*/1, huge.data(),
+                        kHugeInsertKeys, &frame);
+  std::vector<uint8_t> answers;
+
+  // A clean close mid-insert: the peer is gone before its ack exists.  The
+  // insert still lands (nothing tells the loop before the ack), the ack
+  // goes nowhere, and the close is not a drop.
+  uint64_t landed = known.size();
+  {
+    RawConn conn(server.port());
+    conn.Send(frame);
+    ASSERT_TRUE(WaitForInserts(*service, landed));
+  }
+  ASSERT_TRUE(other.QueryBatch(known.data(), known.size(), &answers));
+  for (uint8_t a : answers) ASSERT_EQ(a, 1);
+  landed += kHugeInsertKeys;
+  for (int i = 0; i < 30000; ++i) {
+    if (service->filter().TotalStats().inserts == landed) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(service->filter().TotalStats().inserts, landed);
+  // One more round trip: the loop has finished with the closed connection.
+  ASSERT_TRUE(other.QueryBatch(known.data(), 16, &answers));
+  EXPECT_EQ(server.stats().connections_dropped, 0u);
+
+  // A reset mid-insert: the loop sees the error at once, closes the
+  // connection as dropped, and abandons the rest of its insert.
+  frame.clear();
+  EncodeKeyBatchRequest(Opcode::kInsertBatch, /*request_id=*/1,
+                        huge.data() + kHugeInsertKeys, kHugeInsertKeys,
+                        &frame);
+  {
+    RawConn conn(server.port());
+    conn.Send(frame);
+    ASSERT_TRUE(WaitForInserts(*service, landed));
+    const linger reset{1, 0};
+    ASSERT_EQ(::setsockopt(conn.fd, SOL_SOCKET, SO_LINGER, &reset,
+                           sizeof(reset)),
+              0);
+  }
+  ASSERT_TRUE(other.QueryBatch(known.data(), known.size(), &answers));
+  for (uint8_t a : answers) ASSERT_EQ(a, 1);
+  for (int i = 0; i < 30000 && server.stats().connections_dropped == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(other.QueryBatch(known.data(), 16, &answers));
+  EXPECT_EQ(server.stats().connections_dropped, 1u);
+  EXPECT_LT(service->filter().TotalStats().inserts, landed + kHugeInsertKeys);
+  EXPECT_EQ(service->filter().TotalStats().insert_failures, 0u);
+  EXPECT_EQ(server.stats().protocol_errors, 0u);
+}
+
+TEST(MembershipServer, StopWithAQueuedInsertReturnsWithinTheGrace) {
+  auto service = MakeThreadedService(kHugeInsertKeys, /*num_threads=*/1);
+  MembershipServer server(service, ServerOptions{});
+  ASSERT_TRUE(server.Start()) << server.error();
+  const auto huge = RandomKeys(kHugeInsertKeys, 977);
+  std::vector<uint8_t> frame;
+  EncodeKeyBatchRequest(Opcode::kInsertBatch, /*request_id=*/1, huge.data(),
+                        huge.size(), &frame);
+  RawConn conn(server.port());
+  conn.Send(frame);
+  ASSERT_TRUE(WaitForInserts(*service, 0));
+  const uint64_t start_ns = SteadyNanos();
+  server.Stop();
+  // The loop's shutdown grace is 2 s; the rest is joins and closes.
+  EXPECT_LT(SteadyNanos() - start_ns, uint64_t{3'000'000'000});
+  EXPECT_FALSE(server.running());
 }
 
 // --- request tracing ---------------------------------------------------------
