@@ -140,11 +140,14 @@ class ConcurrentPrefixFilter {
     const uint16_t fp_new = static_cast<uint16_t>((q << 8) | r);
     const uint16_t fp_max = bin.MaxFingerprint();
     const uint16_t forwarded = fp_new > fp_max ? fp_new : fp_max;
-    if (fp_new <= fp_max) bin.ReplaceMax(q, r);
     const uint64_t spare_key = b * kMiniFpRange + forwarded;
     SpareShard& shard = ShardFor(spare_key);
     MutexLock spare_guard(shard.mutex);
-    return shard.filter.Insert(spare_key);
+    // Evict the bin's maximum only once the spare holds it (as in
+    // PrefixFilter::InsertHashed): a failed insert loses no earlier key.
+    if (!shard.filter.Insert(spare_key)) return false;
+    if (fp_new <= fp_max) bin.ReplaceMax(q, r);
+    return true;
   }
 
   bool Contains(uint64_t key) const {

@@ -266,15 +266,18 @@ class PrefixFilter {
     const uint16_t fp_max = bin.MaxFingerprint();
     const uint16_t forwarded = fp_new > fp_max ? fp_new : fp_max;
     ++stats_.spare_inserts;
+    // The spare goes first: the bin evicts its maximum only once the spare
+    // holds it, so a failed insert never loses an earlier key's fingerprint.
+    const uint64_t spare_key = SpareKey(b, forwarded);
+    if (!(options_.avoid_spare_duplicates && spare_.Contains(spare_key)) &&
+        !spare_.Insert(spare_key)) {
+      return false;
+    }
     if (fp_new <= fp_max) {
       ++stats_.evictions;
       bin.ReplaceMax(q, r);
     }
-    const uint64_t spare_key = SpareKey(b, forwarded);
-    if (options_.avoid_spare_duplicates && spare_.Contains(spare_key)) {
-      return true;
-    }
-    return spare_.Insert(spare_key);
+    return true;
   }
 
   // Algorithm 2's bin stage for hash h.  The Prefix Invariant says the

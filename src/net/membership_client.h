@@ -14,9 +14,10 @@
 //
 // Reconnect: when `auto_reconnect` is set, an RPC that hits a dead socket
 // tears the connection down, redials, and retries once.  Retrying an insert
-// can re-deliver keys the server already absorbed; that is safe for every
-// filter here (a duplicate insert wastes a slot, it never corrupts answers),
-// matching at-least-once delivery semantics.
+// can re-deliver keys the server already absorbed (at-least-once delivery).
+// A duplicate takes a slot like a new key, so near capacity re-delivered
+// keys can exhaust the spare and make later inserts fail; the ack counts
+// those failures, and a failed insert never evicts a key acked earlier.
 //
 // Not thread-safe: one client per thread (they are cheap — a load generator
 // opens dozens).

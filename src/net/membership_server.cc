@@ -300,7 +300,8 @@ void MembershipServer::Stop() {
   // per-loop queues and wakeup pipes.  Drain the pool so no callback can
   // outlive the fds closed below (the completions themselves are dropped —
   // their connections are going away with the server).
-  if (service_ != nullptr) service_->Drain();
+  // Runs on the caller of Stop(), after every loop thread has exited.
+  if (service_ != nullptr) service_->Drain();  // pf-lint: allow(loop-wait)
   for (auto& loop : loops_) {
     {
       MutexLock lock(loop->completions_mutex);
@@ -435,7 +436,10 @@ void MembershipServer::LoopRun(Loop& loop) {
     // Same shutdown deadline as above.  // pf-lint: allow(steady-clock)
     if (!inflight || std::chrono::steady_clock::now() >= deadline) break;
     if (loop.inserts.empty()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      // Shutdown grace only: the loop has stopped serving, and the nap
+      // paces the bounded wait for in-flight completions.
+      std::this_thread::sleep_for(  // pf-lint: allow(loop-wait)
+          std::chrono::milliseconds(1));
     }
   }
 }
@@ -451,8 +455,9 @@ void MembershipServer::AcceptAll(Loop& loop, int listen_fd, bool is_http) {
         // connection stays in the backlog, so a level-triggered poller
         // would re-report the listen fd instantly and spin the loop at
         // 100% CPU.  A short nap turns that into a bounded retry until an
-        // fd frees up.
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        // fd frees up; it runs only while the process is out of fds.
+        std::this_thread::sleep_for(  // pf-lint: allow(loop-wait)
+            std::chrono::milliseconds(10));
       }
       return;  // wait for the next poller wakeup
     }
@@ -757,8 +762,11 @@ void MembershipServer::HandleFrame(
     }
     case Opcode::kSnapshot: {
       obs::ScopedLatency timer(snapshot_request_hist_);
+      // Each shard serializes under its own lock, so every insert acked
+      // before this request is in the image; no pool drain is needed, since
+      // the workers only run queries.
       std::vector<uint8_t> snapshot;
-      service_->Snapshot(&snapshot);
+      service_->filter().SerializeTo(&snapshot);
       // An image beyond the frame cap cannot be framed (the u32 payload_len
       // would lie); answer with a typed error instead of a frame the client
       // must treat as fatal kBadLength.

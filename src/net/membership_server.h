@@ -94,7 +94,9 @@ struct ServerOptions {
   uint32_t num_loops = 1;
   // Offloaded batches a single connection may have in flight before the
   // loop stops reading from it (resumes as completions drain).  Clamped to
-  // >= 1.  Bounds per-connection server memory and queue share.
+  // >= 1.  Bounds per-connection server memory and queue share; with
+  // MembershipServer::kMaxConnections it is the only bound on the
+  // FilterService queue, which has none of its own.
   uint32_t max_inflight_batches = 32;
   // Serve a plaintext HTTP listener (GET /metrics -> Prometheus text
   // exposition of the metrics registry) on loop 0.  0 = kernel-assigned
@@ -191,7 +193,12 @@ class MembershipServer {
   // listen() backlog of every listener (binary and HTTP).
   static constexpr int kListenBacklog = 128;
   // Connections beyond this are accepted and immediately closed (counted
-  // across all loops).
+  // across all loops).  Times ServerOptions::max_inflight_batches, it bounds
+  // the query batches the server's open connections can have queued on the
+  // FilterService pool (32768 at the default cap): the pool queue has no
+  // bound of its own, so QueryBatchAsync never blocks a loop.  A connection
+  // closed by an error frees its slot at once, while its offloaded batches
+  // still run to completion.
   static constexpr size_t kMaxConnections = 1024;
   // A connection whose outbound buffer exceeds this is dropped (a client
   // that stops reading must not grow server memory without bound).

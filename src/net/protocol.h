@@ -33,7 +33,8 @@
 //                                        EncodeStatsResponse)
 //   SNAPSHOT     request:                empty
 //   SNAPSHOT     response:               AnyFilter envelope bytes (the same
-//                                        image FilterService::Snapshot writes)
+//                                        image ShardedFilter::SerializeTo
+//                                        writes)
 //   TRACES       request:                empty
 //   TRACES       response:               captured trace records (see
 //                                        EncodeTracesResponse)

@@ -1,6 +1,5 @@
 #include "src/service/filter_service.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace prefixfilter {
@@ -9,7 +8,6 @@ FilterService::FilterService(std::shared_ptr<ShardedFilter> filter,
                              FilterServiceOptions options)
     : filter_(std::move(filter)),
       num_threads_(options.num_threads),
-      max_pending_(std::max<size_t>(1, options.max_pending)),
       registry_(options.registry != nullptr
                     ? options.registry
                     : &obs::MetricsRegistry::Global()),
@@ -47,9 +45,6 @@ void FilterService::QueryBatchAsync(std::vector<uint64_t> keys,
   bool queued = false;
   {
     MutexLock lock(mutex_);
-    while (!stopping_ && queue_.size() >= max_pending_) {
-      queue_nonfull_.Wait(mutex_);
-    }
     if (!stopping_) {
       queue_.push_back(std::move(request));
       queued = true;
@@ -75,7 +70,6 @@ void FilterService::Execute(Request& request) {
 uint64_t FilterService::InsertBatchSync(const uint64_t* keys, size_t count) {
   obs::ScopedLatency timer(insert_exec_hist_);
   insert_batch_keys_hist_->Record(count);
-  ReaderMutexLock snapshot_guard(snapshot_mutex_);
   return filter_->InsertBatch(keys, count);
 }
 
@@ -87,11 +81,7 @@ void FilterService::StartInsert(const uint64_t* keys, size_t count,
 
 bool FilterService::InsertSlice(InsertJob* job, size_t budget) {
   const uint64_t start_ns = obs::NowNanos();
-  bool done = false;
-  {
-    ReaderMutexLock snapshot_guard(snapshot_mutex_);
-    done = filter_->InsertSlice(&job->sharded, budget);
-  }
+  const bool done = filter_->InsertSlice(&job->sharded, budget);
   job->exec_ns += obs::NowNanos() - start_ns;
   if (done) {
     insert_exec_hist_->Record(job->exec_ns);
@@ -114,7 +104,6 @@ void FilterService::QueryBatchSync(const uint64_t* keys, size_t count,
   query_batch_keys_hist_->Record(count);
   const uint64_t exec_start_ns = trace != nullptr ? obs::NowNanos() : 0;
   {
-    ReaderMutexLock snapshot_guard(snapshot_mutex_);
     // Deep layers (ShardedFilter's per-shard probes) pick the trace up via
     // the thread-local; the shard-probe spans land inside the exec span.
     obs::ScopedCurrentTrace current(trace);
@@ -146,7 +135,6 @@ void FilterService::WorkerLoop() {
       request.trace->AddSpan(obs::TraceStage::kQueueWait, request.enqueue_ns,
                              picked_up_ns);
     }
-    queue_nonfull_.NotifyOne();
     Execute(request);
     {
       MutexLock lock(mutex_);
@@ -160,16 +148,6 @@ void FilterService::Drain() {
   if (num_threads_ == 0) return;
   MutexLock lock(mutex_);
   while (!queue_.empty() || in_flight_ != 0) idle_.Wait(mutex_);
-}
-
-void FilterService::Snapshot(std::vector<uint8_t>* out) {
-  Drain();
-  // Exclusive against batch execution: an insert batch racing the
-  // serialization would otherwise be acknowledged yet only partially
-  // captured (its keys in already-serialized shards silently dropped — false
-  // negatives after Deserialize).  Held only for the serialization itself.
-  WriterMutexLock snapshot_guard(snapshot_mutex_);
-  filter_->SerializeTo(out);
 }
 
 void FilterService::SetQueryFaultHookForTesting(
@@ -188,7 +166,6 @@ void FilterService::Stop() {
     stopping_ = true;
   }
   queue_nonempty_.NotifyAll();
-  queue_nonfull_.NotifyAll();
   for (auto& worker : workers_) {
     if (worker.joinable()) worker.join();
   }

@@ -8,18 +8,22 @@
 // workers with QueryBatchAsync and gets the answers through a callback.  Every
 // batch goes through ShardedFilter's thread-local BatchRouter, so it pays one
 // lock acquisition per touched shard and rides the prefetching ContainsBatch
-// path inside each shard.
+// path inside each shard.  The shard locks are the only locks a batch takes:
+// the service adds none of its own around the filter.
 //
-// Backpressure: the queue is bounded (options.max_pending); submitters block
-// until a worker frees a slot, so a burst of clients cannot grow the queue
-// without bound.  num_threads == 0 configures a synchronous service (batches
-// execute on the submitting thread) — useful for tests and single-core
-// deployments.
+// The request queue has no bound of its own and QueryBatchAsync never waits,
+// so an event loop never blocks on the pool.  A submitter bounds its own
+// share instead: MembershipServer caps each connection's offloaded batches
+// (ServerOptions::max_inflight_batches) and its connection count, so one
+// server's open connections queue at most their product.  num_threads == 0
+// configures a synchronous service (batches execute on the submitting
+// thread) — useful for tests and single-core deployments.
 //
-// Snapshot/restore: Snapshot() drains in-flight work and serializes the
-// whole sharded filter (ByteWriter wire format); ShardedFilter::Deserialize
-// is the inverse.  The snapshot is a plain byte vector: persist it next to
-// your data like an LSM run's filter block (§1).
+// Snapshot/restore: filter().SerializeTo() writes a restorable image of all
+// shards, one shard at a time under that shard's lock, so every insert that
+// returned before the call is in it (ByteWriter wire format);
+// ShardedFilter::Deserialize is the inverse.  The snapshot is a plain byte
+// vector: persist it next to your data like an LSM run's filter block (§1).
 #ifndef PREFIXFILTER_SRC_SERVICE_FILTER_SERVICE_H_
 #define PREFIXFILTER_SRC_SERVICE_FILTER_SERVICE_H_
 
@@ -42,8 +46,6 @@ struct FilterServiceOptions {
   // Worker threads draining the request queue; 0 = synchronous execution on
   // the submitting thread.
   uint32_t num_threads = 4;
-  // Bound on queued (not yet executing) requests; submitters block past it.
-  size_t max_pending = 4096;
   // Metrics registry the service (and its ShardedFilter) instruments into;
   // nullptr = the process-wide obs::MetricsRegistry::Global().  Tests pass a
   // local registry for isolation.
@@ -68,9 +70,8 @@ class FilterService {
 
   // Enqueues a query batch for the worker pool, so a submitter that must not
   // wait on the probe (an event loop) can decouple decode from filter
-  // execution.  Submission still blocks while the queue is at max_pending
-  // (callers wanting a hard non-blocking guarantee must cap their own
-  // in-flight count below max_pending).
+  // execution.  Never waits: the queue is unbounded, and the submitter caps
+  // its own in-flight count (see the file header).
   // A non-null `trace` rides along: the worker records queue-wait and exec
   // spans into it (plus per-shard probe spans via the thread-local
   // CurrentTrace()) before the callback fires.
@@ -80,29 +81,28 @@ class FilterService {
 
   // Synchronous batch entry points for callers that already own a thread
   // (the network event loop hands decoded frames straight here): they bypass
-  // the request queue but take the same snapshot shared-lock, feed the same
-  // histograms, and ride the same BatchRouter path as queued batches.  Safe
-  // concurrently with queued traffic.  InsertBatchSync returns the number of
-  // keys the filter failed to absorb (0 on full success).
+  // the request queue but feed the same histograms and ride the same
+  // BatchRouter path as queued batches.  Safe concurrently with queued
+  // traffic.  InsertBatchSync returns the number of keys the filter failed
+  // to absorb (0 on full success).
   uint64_t InsertBatchSync(const uint64_t* keys, size_t count);
 
   // The same insert applied in slices, for a caller that must bound how long
   // one call runs (the network event loop applies a large INSERT_BATCH
   // between polls).  StartInsert points `job` at the keys, which must stay
   // alive until the batch lands; each InsertSlice applies up to `budget`
-  // more of them (ShardedFilter::InsertSlice) under the snapshot reader lock
-  // and returns true once the whole batch has landed, with
-  // job->sharded.failures() the keys the filter failed to absorb.  The
-  // insert histograms record once per batch, when it lands:
-  // service.exec.ns as the sum of the slice times.  A Snapshot() between
-  // two slices holds the batch's earlier slices only; a landed batch is
+  // more of them (ShardedFilter::InsertSlice) and returns true once the
+  // whole batch has landed, with job->sharded.failures() the keys the filter
+  // failed to absorb.  The insert histograms record once per batch, when it
+  // lands: service.exec.ns as the sum of the slice times.  A snapshot taken
+  // between two slices holds some of the batch's keys; a landed batch is
   // whole in every later image.
   struct InsertJob {
     ShardedFilter::InsertJob sharded;
     uint64_t exec_ns = 0;
   };
   static void StartInsert(const uint64_t* keys, size_t count, InsertJob* job);
-  bool InsertSlice(InsertJob* job, size_t budget) PF_EXCLUDES(snapshot_mutex_);
+  bool InsertSlice(InsertJob* job, size_t budget);
   // A non-null `trace` receives the exec span and (via CurrentTrace()) the
   // per-shard probe spans recorded while the batch runs.
   void QueryBatchSync(const uint64_t* keys, size_t count, uint8_t* out,
@@ -110,16 +110,6 @@ class FilterService {
 
   // Blocks until every previously submitted batch has completed.
   void Drain() PF_EXCLUDES(mutex_);
-
-  // Drains, then appends a restorable snapshot of all shards, holding a
-  // service-wide write exclusion while serializing so every batch that
-  // returned or called back before the call is fully in the image (batches
-  // submitted concurrently land entirely before or entirely after it — never
-  // half; a sliced insert lands slice by slice, see InsertSlice).
-  // ShardedFilter::Deserialize restores it; wrap the result in a new
-  // FilterService.
-  void Snapshot(std::vector<uint8_t>* out)
-      PF_EXCLUDES(mutex_, snapshot_mutex_);
 
   const ShardedFilter& filter() const { return *filter_; }
   uint32_t num_threads() const { return num_threads_; }
@@ -156,16 +146,9 @@ class FilterService {
 
   std::shared_ptr<ShardedFilter> filter_;
   uint32_t num_threads_;
-  size_t max_pending_;
-
-  // Batch execution takes this shared; Snapshot takes it exclusive while
-  // serializing.  Direct filter() access bypasses it by design (shard locks
-  // still make such access safe, just not snapshot-atomic).
-  mutable SharedMutex snapshot_mutex_;
 
   Mutex mutex_;
   CondVar queue_nonempty_;
-  CondVar queue_nonfull_;
   CondVar idle_;
   std::deque<Request> queue_ PF_GUARDED_BY(mutex_);
   size_t in_flight_ PF_GUARDED_BY(mutex_) = 0;

@@ -84,6 +84,9 @@ class ShardedFilter final : public AnyFilter {
   // single-shard filters (everything is one group by construction).
   void ContainsBatch(const uint64_t* keys, size_t count,
                      uint8_t* out) const override;
+  // Serializes one shard at a time under that shard's lock, so the image
+  // holds every insert that returned before the call; inserts running
+  // concurrently may land in it or not, shard by shard.
   bool SerializeTo(std::vector<uint8_t>* out) const override;
   size_t SpaceBytes() const override;
   uint64_t Capacity() const override { return capacity_; }

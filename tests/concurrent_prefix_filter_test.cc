@@ -40,6 +40,32 @@ TEST(ConcurrentPrefixFilter, ParallelInsertNoLostKeys) {
   for (uint64_t k : keys) ASSERT_TRUE(pf.Contains(k));
 }
 
+TEST(ConcurrentPrefixFilter, FailedInsertsNeverEvictAcknowledgedKeys) {
+  // Overfilled to twice its capacity the sharded spare runs out and inserts
+  // fail; a failed insert must not evict a key acknowledged earlier.
+  const uint64_t n = 1 << 16;
+  const auto keys = RandomKeys(2 * n, 165);
+  ConcurrentPrefixFilter<SpareTcTraits> pf(n);
+  size_t first_failure = keys.size();
+  std::vector<uint64_t> acked;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (pf.Insert(keys[i])) {
+      acked.push_back(keys[i]);
+    } else if (first_failure == keys.size()) {
+      first_failure = i;
+    }
+  }
+  ASSERT_LT(first_failure, keys.size()) << "overfill never failed";
+  uint64_t lost_before_failure = 0;
+  for (size_t i = 0; i < first_failure; ++i) {
+    lost_before_failure += !pf.Contains(keys[i]);
+  }
+  EXPECT_EQ(lost_before_failure, 0u);
+  uint64_t lost = 0;
+  for (uint64_t k : acked) lost += !pf.Contains(k);
+  EXPECT_EQ(lost, 0u) << "of " << acked.size() << " acknowledged keys";
+}
+
 TEST(ConcurrentPrefixFilter, ConcurrentReadersDuringWrites) {
   const uint64_t n = 100000;
   const auto keys = RandomKeys(n, 163);

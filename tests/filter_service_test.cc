@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -129,7 +130,8 @@ TEST(FilterService, WorkerPathRecordsQueueAndExecTelemetry) {
 
 // Four clients insert concurrently, then each fires its whole slice at the
 // pool as 1000-key QueryBatchAsync batches without waiting: 40 submits per
-// client against a queue of 8, so submitters park on the max_pending wait.
+// client against 3 workers, so the queue backs up while submits keep
+// returning.
 TEST(FilterService, ManyConcurrentClients) {
   const uint64_t n = 160000;
   constexpr int kClients = 4;
@@ -137,9 +139,7 @@ TEST(FilterService, ManyConcurrentClients) {
   // Declared before the service so they outlive its workers.
   std::atomic<uint64_t> failures{0};
   std::atomic<uint64_t> answered{0};
-  FilterService service(MakeSharded(n, 194),
-                        FilterServiceOptions{/*num_threads=*/3,
-                                             /*max_pending=*/8});
+  FilterService service(MakeSharded(n, 194), {.num_threads = 3});
   const auto keys = RandomKeys(n, 195);
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
@@ -173,11 +173,53 @@ TEST(FilterService, ManyConcurrentClients) {
   EXPECT_EQ(service.filter().TotalStats().inserts, n);
 }
 
+// QueryBatchAsync never waits on the pool: with the only worker held in the
+// fault hook, 5000 submits all return while it is still held.  A watchdog
+// releases the worker after 10 s, so a submit that waits for queue room
+// fails the test instead of hanging it.
+TEST(FilterService, QueryBatchAsyncNeverWaitsWhileTheWorkerIsHeld) {
+  constexpr int kSubmits = 5000;
+  // Declared before the service so they outlive its worker.
+  std::atomic<bool> release{false};
+  std::atomic<bool> watchdog_fired{false};
+  std::atomic<int> answered{0};
+  FilterService service(MakeSharded(1000, 885), {.num_threads = 1});
+  service.SetQueryFaultHookForTesting([&](const uint64_t*, size_t) {
+    while (!release.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  std::thread watchdog([&]() {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!release.load()) {
+      if (std::chrono::steady_clock::now() >= deadline) {
+        watchdog_fired = true;
+        release = true;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  for (int i = 0; i < kSubmits; ++i) {
+    service.QueryBatchAsync({static_cast<uint64_t>(i)},
+                            [&](std::vector<uint8_t> results) {
+                              answered += static_cast<int>(results.size());
+                            });
+  }
+  const bool returned_while_held = !watchdog_fired.load();
+  const int answered_while_held = answered.load();
+  release = true;
+  watchdog.join();
+  service.Drain();
+  EXPECT_TRUE(returned_while_held) << "a submit waited for the worker";
+  EXPECT_EQ(answered_while_held, 0);
+  EXPECT_EQ(answered.load(), kSubmits);
+  service.SetQueryFaultHookForTesting(nullptr);
+}
+
 TEST(FilterService, SynchronousModeWorksWithoutThreads) {
   const uint64_t n = 20000;
-  FilterService service(MakeSharded(n, 196),
-                        FilterServiceOptions{/*num_threads=*/0,
-                                             /*max_pending=*/1});
+  FilterService service(MakeSharded(n, 196), {.num_threads = 0});
   const auto keys = RandomKeys(n, 197);
   EXPECT_EQ(service.InsertBatchSync(keys.data(), keys.size()), 0u);
   std::vector<uint8_t> result(keys.size());
@@ -207,7 +249,7 @@ TEST(FilterService, SnapshotRestoreRoundTrip) {
   EXPECT_EQ(service.InsertBatchSync(keys.data(), keys.size()), 0u);
 
   std::vector<uint8_t> snapshot;
-  service.Snapshot(&snapshot);
+  ASSERT_TRUE(service.filter().SerializeTo(&snapshot));
   auto restored =
       ShardedFilter::Deserialize(snapshot.data(), snapshot.size());
   ASSERT_NE(restored, nullptr);
@@ -234,8 +276,7 @@ TEST(FilterService, SnapshotRestoreRoundTrip) {
 TEST(FilterService, LsmTableUsesSharedServiceAsGate) {
   const uint64_t n = 40000;
   auto service = std::make_shared<FilterService>(
-      MakeSharded(n * 2, 203), FilterServiceOptions{/*num_threads=*/2,
-                                                    /*max_pending=*/64});
+      MakeSharded(n * 2, 203), FilterServiceOptions{.num_threads = 2});
   lsm::TableOptions options;
   options.memtable_entries = 4096;
   options.filter_service = service;

@@ -12,12 +12,15 @@
 //     query rides behind it;
 //   - a restored snapshot answers every key the thread had acknowledged
 //     before asking for it, while the other threads keep inserting.
-// Reconnect and overload interleavings are out of scope here.
+// A second case re-delivers insert batches near capacity, as a reconnect
+// retry does.  Reconnect and overload interleavings are otherwise out of
+// scope here.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -194,7 +197,7 @@ TEST(NetModel, RandomMixOverLoopbackAgreesWithPerClientOracles) {
   // insert failure is a defect, not a full filter.
   const uint64_t capacity = uint64_t{kClients} * kOpsPerClient * kMaxInsert;
   std::shared_ptr<FilterService> service = MakeFilterService(
-      "SHARD16[PF[TC]]", capacity, {.num_threads = 2, .max_pending = 64});
+      "SHARD16[PF[TC]]", capacity, {.num_threads = 2});
   ASSERT_NE(service, nullptr);
   ServerOptions options;
   options.num_loops = 2;
@@ -338,6 +341,53 @@ TEST(NetModel, RandomMixOverLoopbackAgreesWithPerClientOracles) {
   EXPECT_EQ(stats.frames_sent, stats.frames_received);
   EXPECT_EQ(stats.protocol_errors, 0u);
   EXPECT_EQ(stats.connections_dropped, 0u);
+}
+
+// At-least-once delivery near capacity: a client re-sends the same insert
+// batches, as an auto_reconnect retry does, until duplicates overflow the
+// spare and acks start reporting failures.  A failed insert must never cost
+// a key an earlier ack reported as absorbed: every key of a batch acked with
+// failures = 0 answers 1 at the end.
+TEST(NetModel, RedeliveredBatchesNearCapacityKeepEveryAckedKey) {
+  constexpr size_t kBatch = 4096;
+  constexpr uint64_t kCapacity = (uint64_t{1} << 16) + kBatch;
+  std::shared_ptr<FilterService> service =
+      MakeFilterService("SHARD4[PF[TC]]", kCapacity, {.num_threads = 1});
+  ASSERT_NE(service, nullptr);
+  MembershipServer server(service, ServerOptions{});
+  ASSERT_TRUE(server.Start()) << server.error();
+  MembershipClient client(ClientOptions{.port = server.port()});
+
+  // One batch of its own, then half the capacity re-delivered three times.
+  const std::vector<uint64_t> first = RandomKeys(kBatch, 0x7e1);
+  const std::vector<uint64_t> repeated = RandomKeys(kCapacity / 2, 0x7e2);
+  std::vector<uint64_t> acked;  // keys of batches acked with failures = 0
+  uint64_t failed_batches = 0;
+  auto deliver = [&](const uint64_t* keys, size_t count) {
+    uint64_t failures = 0;
+    ASSERT_TRUE(client.InsertBatch(keys, count, &failures)) << client.error();
+    if (failures == 0) {
+      acked.insert(acked.end(), keys, keys + count);
+    } else {
+      ++failed_batches;
+    }
+  };
+  deliver(first.data(), first.size());
+  for (int round = 0; round < 3; ++round) {
+    for (size_t base = 0; base < repeated.size(); base += kBatch) {
+      deliver(repeated.data() + base,
+              std::min(kBatch, repeated.size() - base));
+    }
+  }
+  ASSERT_GT(failed_batches, 0u) << "re-delivery never reached spare failure";
+  ASSERT_GE(acked.size(), first.size());
+
+  std::vector<uint8_t> answers;
+  ASSERT_TRUE(client.QueryPipelined(acked.data(), acked.size(), &answers))
+      << client.error();
+  uint64_t misses = 0;
+  for (uint8_t a : answers) misses += a == 0;
+  EXPECT_EQ(misses, 0u) << "of " << acked.size() << " acked keys";
 }
 
 }  // namespace

@@ -982,6 +982,91 @@ TEST(MembershipServer, StopDrainsInflightOffloadedWorkAndLeaksNoFds) {
   EXPECT_EQ(CountOpenFds(), fds_before);
 }
 
+// A SNAPSHOT does not wait for the worker pool: with a 4096-key query from
+// connection A held in the only worker, a SNAPSHOT from connection B on the
+// same loop is answered while A's batch is still held, and the image holds
+// every key acked before it.  A watchdog releases the worker after 10 s, so
+// a snapshot that drains the pool fails the test instead of hanging it.
+TEST(MembershipServer, SnapshotIsAnsweredWhileAWorkerHoldsAQuery) {
+  // Declared before the service so they outlive its worker.
+  std::atomic<bool> held{false};
+  std::atomic<bool> release{false};
+  std::atomic<bool> watchdog_fired{false};
+  auto service = MakeThreadedService(20000, /*num_threads=*/1);
+  MembershipServer server(service, ServerOptions{});
+  ASSERT_TRUE(server.Start()) << server.error();
+  ASSERT_EQ(server.num_loops(), 1u);
+
+  MembershipClient client(ClientOptions{.port = server.port()});
+  const auto keys = RandomKeys(8192, 961);
+  uint64_t failures = 0;
+  ASSERT_TRUE(client.InsertBatch(keys.data(), 4096, &failures));
+  ASSERT_EQ(failures, 0u);
+
+  service->SetQueryFaultHookForTesting([&](const uint64_t* batch, size_t n) {
+    if (!BatchHasMarker(batch, n)) return;
+    held = true;
+    while (!release.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  std::thread watchdog([&]() {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!release.load()) {
+      if (std::chrono::steady_clock::now() >= deadline) {
+        watchdog_fired = true;
+        release = true;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+
+  RawConn conn(server.port());
+  std::vector<uint64_t> slow(keys.begin(), keys.begin() + 4096);
+  slow[0] = kMarkerKey;
+  std::vector<uint8_t> frame;
+  EncodeKeyBatchRequest(Opcode::kQueryBatch, /*request_id=*/1, slow.data(),
+                        slow.size(), &frame);
+  conn.Send(frame);
+  while (!held.load() && !release.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // More keys acked while A's batch is held: inserts run on the loop.  No
+  // assertion may return before the watchdog is joined.
+  const bool inserted =
+      client.InsertBatch(keys.data() + 4096, 4096, &failures);
+  std::vector<uint8_t> image;
+  const bool snapshot_ok = inserted && client.Snapshot(&image);
+  const bool answered_while_held = !watchdog_fired.load();
+  release = true;
+  watchdog.join();
+  ASSERT_TRUE(inserted) << client.error();
+  ASSERT_EQ(failures, 0u);
+  ASSERT_TRUE(snapshot_ok) << client.error();
+  EXPECT_TRUE(answered_while_held) << "SNAPSHOT waited for the held worker";
+
+  auto restored = ShardedFilter::Deserialize(image.data(), image.size());
+  ASSERT_NE(restored, nullptr);
+  std::vector<uint8_t> in_image(keys.size());
+  restored->ContainsBatch(keys.data(), keys.size(), in_image.data());
+  uint64_t missing = 0;
+  for (uint8_t a : in_image) missing += a == 0;
+  EXPECT_EQ(missing, 0u);
+
+  Frame reply;
+  conn.ReadFrame(&reply);
+  EXPECT_EQ(reply.request_id, 1u);
+  std::vector<uint8_t> answers;
+  ASSERT_TRUE(DecodeQueryResponsePayload(reply.payload.data(),
+                                         reply.payload.size(), &answers));
+  ASSERT_EQ(answers.size(), slow.size());
+  for (size_t i = 1; i < answers.size(); ++i) {
+    ASSERT_EQ(answers[i], 1) << "false negative at " << i;
+  }
+  service->SetQueryFaultHookForTesting(nullptr);
+}
+
 // --- sliced inserts ----------------------------------------------------------
 
 // Many slices of MembershipServer::kInsertSliceKeys each.

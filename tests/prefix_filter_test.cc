@@ -3,6 +3,8 @@
 #include "src/core/prefix_filter.h"
 
 #include <cmath>
+#include <type_traits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -119,6 +121,36 @@ TYPED_TEST(PrefixFilterTypedTest, InsertionsNeverFailAtRatedCapacity) {
   PrefixFilter<TypeParam> pf(n);
   for (uint64_t k : keys) ASSERT_TRUE(pf.Insert(k));
   EXPECT_EQ(pf.size(), n);
+}
+
+TYPED_TEST(PrefixFilterTypedTest, FailedInsertsNeverEvictAcknowledgedKeys) {
+  // Overfill to twice the rated capacity, so the spare runs out and inserts
+  // start to fail (BBF-Flex never rejects, so its inserts all succeed).  A
+  // failed insert must leave the filter as it was: every key whose Insert
+  // returned true, before the first failure or after it, still answers 1.
+  const uint64_t n = 1 << 16;
+  const auto keys = RandomKeys(2 * n, 124);
+  PrefixFilter<TypeParam> pf(n);
+  size_t first_failure = keys.size();
+  std::vector<uint64_t> acked;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (pf.Insert(keys[i])) {
+      acked.push_back(keys[i]);
+    } else if (first_failure == keys.size()) {
+      first_failure = i;
+    }
+  }
+  if (!std::is_same_v<TypeParam, SpareBbfTraits>) {
+    ASSERT_LT(first_failure, keys.size()) << "overfill never failed";
+  }
+  uint64_t lost_before_failure = 0;
+  for (size_t i = 0; i < first_failure; ++i) {
+    lost_before_failure += !pf.Contains(keys[i]);
+  }
+  EXPECT_EQ(lost_before_failure, 0u);
+  uint64_t lost = 0;
+  for (uint64_t k : acked) lost += !pf.Contains(k);
+  EXPECT_EQ(lost, 0u) << "of " << acked.size() << " acknowledged keys";
 }
 
 TEST(PrefixFilter, DuplicateAvoidanceOptionWorks) {

@@ -1,13 +1,13 @@
 // Model-based test of the in-process FilterService: four client threads run
 // seeded random mixes of InsertBatchSync, QueryBatchSync, QueryBatchAsync and
-// Snapshot -> ShardedFilter::Deserialize against one 2-worker service with a
-// small queue, each checking every answer against its own oracle of
+// filter().SerializeTo -> ShardedFilter::Deserialize against one 2-worker
+// service, each checking every answer against its own oracle of
 // acknowledged keys.  Properties:
 //   - no false negatives: a key whose InsertBatchSync returned answers 1 on
 //     every later query, sync or queued;
 //   - exactly one callback per QueryBatchAsync submit (counted by submit id);
 //   - a restored snapshot answers every key acknowledged before the
-//     Snapshot() call, even while other threads keep inserting.
+//     SerializeTo() call, even while other threads keep inserting.
 // Network reconnect and overload interleavings are out of scope here.
 #include <atomic>
 #include <cstdint>
@@ -86,9 +86,8 @@ TEST(ServiceModel, RandomMixAgreesWithPerClientOracles) {
     submitted[c].assign(kOpsPerClient, 0);
   }
   obs::MetricsRegistry registry;  // local: keep the global registry clean
-  FilterService service(std::move(sharded), {.num_threads = 2,
-                                             .max_pending = 4,
-                                             .registry = &registry});
+  FilterService service(std::move(sharded),
+                        {.num_threads = 2, .registry = &registry});
 
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
@@ -126,7 +125,7 @@ TEST(ServiceModel, RandomMixAgreesWithPerClientOracles) {
           // Everything this client acknowledged so far must be in the image.
           const std::vector<uint64_t> before = model.acked;
           std::vector<uint8_t> image;
-          service.Snapshot(&image);
+          service.filter().SerializeTo(&image);
           snapshots.fetch_add(1);
           auto restored =
               ShardedFilter::Deserialize(image.data(), image.size());

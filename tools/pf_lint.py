@@ -34,6 +34,14 @@ steady-clock
     shutdown deadline that must work with observability compiled out) carry
     an inline suppression.
 
+loop-wait
+    The event loop (src/net/membership_server.cc) never blocks on the worker
+    pool or on another thread: no Drain(), no WriterMutexLock, no CondVar
+    .Wait( and no sleep_for.  Besides its poller, the only waits a loop
+    thread may take are a shard lock and the completions mutex.  Sites that do not run on a loop
+    iteration (Stop() on the caller thread, a bounded nap) carry an inline
+    suppression that states why.
+
 Suppressions: append `// pf-lint: allow(<rule>)` to the offending line or
 the line directly above it.  Each suppression documents a reviewed
 exception; pf_lint_test.py pins that every rule still fires on fixtures.
@@ -49,7 +57,11 @@ ALL_RULES = (
     "wire-bounds-check",
     "parser-reinterpret-cast",
     "steady-clock",
+    "loop-wait",
 )
+
+# Files whose code runs on the network event-loop threads.
+LOOP_FILES = ("src/net/membership_server.cc",)
 
 # Files that parse untrusted bytes (wire frames, snapshots, stats blobs,
 # JSON).  Keep in sync with the fuzz targets in fuzz/.
@@ -107,6 +119,10 @@ FUNC_NAME_RE = re.compile(r"\b((?:[A-Za-z_][A-Za-z0-9_]*::)*[A-Za-z_][A-Za-z0-9_
 STEADY_CLOCK_RE = re.compile(r"\b(?:steady_clock|high_resolution_clock)\b")
 
 REINTERPRET_RE = re.compile(r"\breinterpret_cast\s*<")
+
+# A call that can block the calling thread on other threads' progress.
+LOOP_WAIT_RE = re.compile(
+    r"\bDrain\s*\(|\bWriterMutexLock\b|\.Wait\s*\(|\bsleep_for\s*\(")
 
 
 class Violation:
@@ -260,6 +276,22 @@ def check_steady_clock(root, violations):
                                   "with a justification)"))
 
 
+def check_loop_wait(root, violations):
+    for rel in LOOP_FILES:
+        path = root / rel
+        if not path.is_file():
+            continue
+        lines = path.read_text().splitlines()
+        for i, raw in enumerate(lines):
+            m = LOOP_WAIT_RE.search(strip_line_comment(raw))
+            if m and not suppressed(lines, i, "loop-wait"):
+                violations.append(
+                    Violation(rel, i + 1, "loop-wait",
+                              f"blocking call `{m.group(0).strip()}` in "
+                              "event-loop code (suppress with the reason it "
+                              "cannot stall a loop iteration)"))
+
+
 def run(root, rules):
     violations = []
     if "obs-compile-out" in rules:
@@ -272,6 +304,8 @@ def run(root, rules):
                 v for v in file_violations if v.rule in rules)
     if "steady-clock" in rules:
         check_steady_clock(root, violations)
+    if "loop-wait" in rules:
+        check_loop_wait(root, violations)
     return violations
 
 

@@ -123,6 +123,26 @@ class PfLintTest(unittest.TestCase):
         self.repo.add("src/service/worker.cc", "clock_comment_only.cc")
         self.assertEqual(self.run_rules(("steady-clock",)), [])
 
+    # --- loop-wait ----------------------------------------------------------
+
+    def test_loop_wait_fires_on_each_blocking_call(self):
+        self.repo.add("src/net/membership_server.cc", "loop_wait_bad.cc")
+        violations = self.run_rules(("loop-wait",))
+        self.assertEqual(self.rules_hit(violations), ["loop-wait"])
+        # Drain(, WriterMutexLock, .Wait( and sleep_for, one line each; the
+        # poller wait, DrainCompletions and comment mentions stay quiet.
+        self.assertEqual([v.line for v in violations], [10, 11, 12, 13])
+
+    def test_loop_wait_honors_suppression(self):
+        self.repo.add("src/net/membership_server.cc",
+                      "loop_wait_suppressed.cc")
+        self.assertEqual(self.run_rules(("loop-wait",)), [])
+
+    def test_loop_wait_ignores_files_off_the_loop(self):
+        # FilterService::Drain and the workers' CondVar waits are legal.
+        self.repo.add("src/service/filter_service.cc", "loop_wait_bad.cc")
+        self.assertEqual(self.run_rules(("loop-wait",)), [])
+
     # --- suppressions & plumbing --------------------------------------------
 
     def test_suppression_only_matches_its_rule(self):
