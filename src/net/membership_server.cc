@@ -312,11 +312,11 @@ void MembershipServer::Stop() {
       (void)conn;
       ::close(fd);
     }
-    active_conns_gauge_->Add(-static_cast<int64_t>(loop->connections.size()));
-    open_connections_.fetch_sub(loop->connections.size(),
-                                std::memory_order_relaxed);
+    ReleaseConnectionSlots(loop->connections.size() +
+                           loop->orphaned_batches.size());
     loop->connections.clear();
     loop->fd_by_conn_id.clear();
+    loop->orphaned_batches.clear();
     for (int* fd : {&loop->listen_fd, &loop->http_listen_fd,
                     &loop->wake_read_fd, &loop->wake_write_fd}) {
       if (*fd >= 0) ::close(*fd);
@@ -953,7 +953,16 @@ void MembershipServer::DrainCompletions(Loop& loop) {
   }
   for (Completion& comp : completions) {
     const auto id_it = loop.fd_by_conn_id.find(comp.conn_id);
-    if (id_it == loop.fd_by_conn_id.end()) continue;  // closed mid-flight
+    if (id_it == loop.fd_by_conn_id.end()) {
+      // Closed mid-flight: the answer goes nowhere, and the connection's
+      // slot is freed with its last offloaded batch.
+      const auto orphan = loop.orphaned_batches.find(comp.conn_id);
+      if (orphan != loop.orphaned_batches.end() && --orphan->second == 0) {
+        loop.orphaned_batches.erase(orphan);
+        ReleaseConnectionSlots(1);
+      }
+      continue;
+    }
     const int fd = id_it->second;
     const auto conn_it = loop.connections.find(fd);
     if (conn_it == loop.connections.end()) continue;
@@ -1065,16 +1074,27 @@ bool MembershipServer::FlushOutbox(Loop& loop, Connection& conn) {
 }
 
 void MembershipServer::CloseConnection(Loop& loop, int fd, bool dropped) {
+  bool keeps_slot = false;
   const auto it = loop.connections.find(fd);
   if (it != loop.connections.end()) {
-    loop.fd_by_conn_id.erase(it->second.id);
+    const Connection& conn = it->second;
+    // Batches still on the pool keep the slot (see kMaxConnections).
+    if (!conn.inflight_seqs.empty()) {
+      loop.orphaned_batches.emplace(conn.id, conn.inflight_seqs.size());
+      keeps_slot = true;
+    }
+    loop.fd_by_conn_id.erase(conn.id);
     loop.connections.erase(it);
   }
   loop.poller->Remove(fd);
   ::close(fd);
-  open_connections_.fetch_sub(1, std::memory_order_relaxed);
-  active_conns_gauge_->Add(-1);
+  if (!keeps_slot) ReleaseConnectionSlots(1);
   if (dropped) connections_dropped_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void MembershipServer::ReleaseConnectionSlots(size_t count) {
+  open_connections_.fetch_sub(count, std::memory_order_relaxed);
+  active_conns_gauge_->Add(-static_cast<int64_t>(count));
 }
 
 }  // namespace prefixfilter::net

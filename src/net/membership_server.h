@@ -94,9 +94,8 @@ struct ServerOptions {
   uint32_t num_loops = 1;
   // Offloaded batches a single connection may have in flight before the
   // loop stops reading from it (resumes as completions drain).  Clamped to
-  // >= 1.  Bounds per-connection server memory and queue share; with
-  // MembershipServer::kMaxConnections it is the only bound on the
-  // FilterService queue, which has none of its own.
+  // >= 1.  Bounds per-connection server memory and queue share (see
+  // MembershipServer::kMaxConnections).
   uint32_t max_inflight_batches = 32;
   // Serve a plaintext HTTP listener (GET /metrics -> Prometheus text
   // exposition of the metrics registry) on loop 0.  0 = kernel-assigned
@@ -159,6 +158,15 @@ class MembershipServer {
   // cut a 4096-key query's median round trip about equally, 1024 keys cut
   // it less, and smaller budgets pay one more poll per fewer keys.
   static constexpr size_t kInsertSliceKeys = 256;
+  // Connections beyond this are accepted and immediately closed (counted
+  // across all loops).  It is also the only bound on the FilterService
+  // queue, which has none of its own so that QueryBatchAsync never blocks a
+  // loop: a connection has at most ServerOptions::max_inflight_batches
+  // batches offloaded, so the server queues at most this many times that
+  // (32768 at the default cap).  A connection closed with batches in flight
+  // keeps its slot until the last of them completes, so reconnecting cannot
+  // get round the bound.
+  static constexpr size_t kMaxConnections = 1024;
 
   MembershipServer(std::shared_ptr<FilterService> service,
                    ServerOptions options = {});
@@ -192,14 +200,6 @@ class MembershipServer {
  private:
   // listen() backlog of every listener (binary and HTTP).
   static constexpr int kListenBacklog = 128;
-  // Connections beyond this are accepted and immediately closed (counted
-  // across all loops).  Times ServerOptions::max_inflight_batches, it bounds
-  // the query batches the server's open connections can have queued on the
-  // FilterService pool (32768 at the default cap): the pool queue has no
-  // bound of its own, so QueryBatchAsync never blocks a loop.  A connection
-  // closed by an error frees its slot at once, while its offloaded batches
-  // still run to completion.
-  static constexpr size_t kMaxConnections = 1024;
   // A connection whose outbound buffer exceeds this is dropped (a client
   // that stops reading must not grow server memory without bound).
   static constexpr size_t kMaxWriteBuffer = size_t{256} << 20;
@@ -312,6 +312,10 @@ class MembershipServer {
     std::vector<uint8_t> results;  // inline batch answers
     // Queued large inserts, oldest first; the front one gets the next slice.
     std::deque<InsertWork> inserts;
+    // Connections closed with offloaded batches still on the pool, by id:
+    // how many of those batches have yet to complete.  Each keeps its
+    // connection slot until the count reaches zero (see kMaxConnections).
+    std::unordered_map<uint64_t, size_t> orphaned_batches;
   };
 
   // Per-loop traffic counters behind the loop=<i> metric labels, and the
@@ -372,7 +376,11 @@ class MembershipServer {
   void DrainCompletions(Loop& loop);
   // Attempts a non-blocking drain of conn.outbox; updates poller interest.
   bool FlushOutbox(Loop& loop, Connection& conn);
+  // Closes `fd`; its slot is released now, or, while offloaded batches of
+  // the connection are still on the pool, when the last of them completes.
   void CloseConnection(Loop& loop, int fd, bool dropped);
+  // Frees `count` slots counted against kMaxConnections.
+  void ReleaseConnectionSlots(size_t count);
   // True while `conn` must survive: outbox bytes unsent, batches in flight,
   // or an insert in progress.
   static bool HasPendingWork(const Connection& conn) {

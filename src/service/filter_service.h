@@ -12,10 +12,8 @@
 // the service adds none of its own around the filter.
 //
 // The request queue has no bound of its own and QueryBatchAsync never waits,
-// so an event loop never blocks on the pool.  A submitter bounds its own
-// share instead: MembershipServer caps each connection's offloaded batches
-// (ServerOptions::max_inflight_batches) and its connection count, so one
-// server's open connections queue at most their product.  num_threads == 0
+// so an event loop never blocks on the pool; the submitter bounds what it
+// queues (see MembershipServer::kMaxConnections).  num_threads == 0
 // configures a synchronous service (batches execute on the submitting
 // thread) — useful for tests and single-core deployments.
 //
@@ -70,8 +68,7 @@ class FilterService {
 
   // Enqueues a query batch for the worker pool, so a submitter that must not
   // wait on the probe (an event loop) can decouple decode from filter
-  // execution.  Never waits: the queue is unbounded, and the submitter caps
-  // its own in-flight count (see the file header).
+  // execution.  Never waits; see MembershipServer::kMaxConnections.
   // A non-null `trace` rides along: the worker records queue-wait and exec
   // spans into it (plus per-shard probe spans via the thread-local
   // CurrentTrace()) before the callback fires.

@@ -11,8 +11,8 @@
 // Use the annotated wrappers below instead of the std types directly —
 // std::lock_guard/std::unique_lock are opaque to the analysis (their
 // acquire/release happens inside system headers), so guarded members
-// accessed under them would still warn.  MutexLock / ReaderMutexLock /
-// WriterMutexLock are scoped capabilities the analysis understands.
+// accessed under them would still warn.  MutexLock is the scoped
+// capability the analysis understands.
 //
 // Reference: https://clang.llvm.org/docs/ThreadSafetyAnalysis.html
 #ifndef PREFIXFILTER_SRC_UTIL_THREAD_ANNOTATIONS_H_
@@ -20,7 +20,6 @@
 
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 #if defined(__clang__) && (!defined(SWIG))
 #define PF_THREAD_ANNOTATION_ATTRIBUTE__(x) __attribute__((x))
@@ -100,23 +99,6 @@ class PF_CAPABILITY("mutex") Mutex {
   std::mutex mu_;
 };
 
-// std::shared_mutex with the capability attribute: exclusive writers via
-// WriterMutexLock, shared readers via ReaderMutexLock.
-class PF_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() PF_ACQUIRE() { mu_.lock(); }
-  void unlock() PF_RELEASE() { mu_.unlock(); }
-  void lock_shared() PF_ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void unlock_shared() PF_RELEASE_SHARED() { mu_.unlock_shared(); }
-
- private:
-  std::shared_mutex mu_;
-};
-
 // Scoped exclusive lock over Mutex — the annotated replacement for
 // std::lock_guard<std::mutex>/std::unique_lock<std::mutex>.
 class PF_SCOPED_CAPABILITY MutexLock {
@@ -129,36 +111,6 @@ class PF_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-// Scoped shared (reader) lock over SharedMutex.
-class PF_SCOPED_CAPABILITY ReaderMutexLock {
- public:
-  explicit ReaderMutexLock(SharedMutex& mu) PF_ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.lock_shared();
-  }
-  ~ReaderMutexLock() PF_RELEASE() { mu_.unlock_shared(); }
-
-  ReaderMutexLock(const ReaderMutexLock&) = delete;
-  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-// Scoped exclusive (writer) lock over SharedMutex.
-class PF_SCOPED_CAPABILITY WriterMutexLock {
- public:
-  explicit WriterMutexLock(SharedMutex& mu) PF_ACQUIRE(mu) : mu_(mu) {
-    mu_.lock();
-  }
-  ~WriterMutexLock() PF_RELEASE() { mu_.unlock(); }
-
-  WriterMutexLock(const WriterMutexLock&) = delete;
-  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
 };
 
 // Condition variable that waits on the annotated Mutex directly

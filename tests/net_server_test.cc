@@ -1067,6 +1067,86 @@ TEST(MembershipServer, SnapshotIsAnsweredWhileAWorkerHoldsAQuery) {
   service->SetQueryFaultHookForTesting(nullptr);
 }
 
+// A connection reset with a batch still queued keeps its slot until the
+// batch completes, so connect / offload / reset cycles run into
+// MembershipServer::kMaxConnections instead of growing the worker-pool queue.
+// With the only worker held and one batch in flight allowed per connection,
+// each of kMaxConnections cycles leaves one batch queued; the next
+// connection is closed at once.  Released, the batches free their slots.
+TEST(MembershipServer, ResetConnectionsKeepTheirSlotsWhileTheirBatchesQueue) {
+  constexpr size_t kCap = MembershipServer::kMaxConnections;
+  std::atomic<bool> release{false};
+  auto service = MakeThreadedService(20000, /*num_threads=*/1);
+  ServerOptions options;
+  options.max_inflight_batches = 1;
+  MembershipServer server(service, options);
+  ASSERT_TRUE(server.Start()) << server.error();
+  // The deadline bounds a failing run; ReleaseOnExit frees the worker on
+  // every exit path before the server stops and drains the pool.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  service->SetQueryFaultHookForTesting(
+      [&release, deadline](const uint64_t*, size_t) {
+        while (!release.load() && std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      });
+  struct ReleaseOnExit {
+    std::atomic<bool>& flag;
+    ~ReleaseOnExit() { flag = true; }
+  } release_on_exit{release};
+
+  const auto keys = RandomKeys(kOffloadKeys, 981);
+  std::vector<uint8_t> frame;
+  EncodeKeyBatchRequest(Opcode::kQueryBatch, /*request_id=*/1, keys.data(),
+                        keys.size(), &frame);
+  const linger reset{1, 0};
+  for (size_t i = 0; i < kCap; ++i) {
+    RawConn conn(server.port());
+    conn.Send(frame);
+    // The batch must be on the pool before the reset arrives: the loop
+    // closes a reset connection without reading what it sent.
+    for (int wait = 0; wait < 100000; ++wait) {
+      if (server.stats().batches_offloaded > i) break;
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+    ASSERT_EQ(server.stats().batches_offloaded, i + 1);
+    ASSERT_EQ(::setsockopt(conn.fd, SOL_SOCKET, SO_LINGER, &reset,
+                           sizeof(reset)),
+              0);
+  }
+  // Every reset has been seen and closed.
+  for (int wait = 0; wait < 30000; ++wait) {
+    if (server.stats().connections_dropped == kCap) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(server.stats().connections_dropped, kCap);
+
+  {
+    RawConn extra(server.port());
+    const timeval timeout{5, 0};
+    ASSERT_EQ(::setsockopt(extra.fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof(timeout)),
+              0);
+    uint8_t byte = 0;
+    EXPECT_EQ(::recv(extra.fd, &byte, 1, 0), 0)
+        << "a connection was accepted while every slot held a queued batch";
+  }
+  EXPECT_EQ(server.stats().batches_offloaded, kCap);
+
+  release = true;
+  bool served = false;
+  std::vector<uint8_t> answers;
+  for (int attempt = 0; attempt < 30000 && !served; ++attempt) {
+    MembershipClient client(
+        ClientOptions{.port = server.port(), .auto_reconnect = false});
+    served = client.QueryBatch(keys.data(), 16, &answers);
+    if (!served) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(served) << "slots stayed held after the batches completed";
+  service->SetQueryFaultHookForTesting(nullptr);
+}
+
 // --- sliced inserts ----------------------------------------------------------
 
 // Many slices of MembershipServer::kInsertSliceKeys each.

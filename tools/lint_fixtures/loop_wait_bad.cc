@@ -1,6 +1,6 @@
-// Fixture: four calls that block an event-loop thread on other threads —
-// loop-wait fires on each.  The lines after them (the poller wait, the
-// completion drain, comment mentions) must stay quiet.
+// Fixture: three calls that block an event-loop thread on other threads or
+// on time — loop-wait fires on each.  The lines after them (the poller wait,
+// the completion drain, comment mentions) must stay quiet.
 #include <chrono>
 #include <thread>
 
@@ -8,7 +8,6 @@ namespace prefixfilter::net {
 
 void MembershipServer::HandleSnapshot(Loop& loop) {
   service_->Drain();
-  WriterMutexLock guard(snapshot_mutex_);
   queue_nonfull_.Wait(mutex_);
   std::this_thread::sleep_for(std::chrono::milliseconds(1));
 }

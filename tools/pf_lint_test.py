@@ -129,9 +129,9 @@ class PfLintTest(unittest.TestCase):
         self.repo.add("src/net/membership_server.cc", "loop_wait_bad.cc")
         violations = self.run_rules(("loop-wait",))
         self.assertEqual(self.rules_hit(violations), ["loop-wait"])
-        # Drain(, WriterMutexLock, .Wait( and sleep_for, one line each; the
-        # poller wait, DrainCompletions and comment mentions stay quiet.
-        self.assertEqual([v.line for v in violations], [10, 11, 12, 13])
+        # Drain(, .Wait( and sleep_for, one line each; the poller wait,
+        # DrainCompletions and comment mentions stay quiet.
+        self.assertEqual([v.line for v in violations], [10, 11, 12])
 
     def test_loop_wait_honors_suppression(self):
         self.repo.add("src/net/membership_server.cc",
