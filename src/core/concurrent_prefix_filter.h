@@ -159,7 +159,7 @@ class ConcurrentPrefixFilter {
     internal::SpinLockHolder bin_guard(LockFor(b));
     const PD256& bin = bins_[b];
     const uint16_t fp = static_cast<uint16_t>((q << 8) | r);
-    if (bin.Overflowed() && fp > bin.MaxFingerprint()) {
+    if (fp > bin.SpareCutoff()) {
       const uint64_t spare_key = b * kMiniFpRange + fp;
       SpareShard& shard = ShardFor(spare_key);
       MutexLock spare_guard(shard.mutex);

@@ -120,6 +120,18 @@ class alignas(32) PD256 {
     return static_cast<uint16_t>((q << 8) | bytes_[kBodyOffset + kCapacity - 1]);
   }
 
+  // Algorithm 2's spare test as one comparison: fingerprint q*256 + r
+  // exceeds SpareCutoff() iff the PD has overflowed and the fingerprint
+  // exceeds MaxFingerprint().  The cutoff is MaxFingerprint() with the
+  // complement of the overflow flag as bit 13, which lifts it above every
+  // fingerprint (< 25 * 256 < 2^13) until the PD overflows.  A single
+  // comparison leaves the compiler no short-circuit jump to emit.
+  uint16_t SpareCutoff() const {
+    const uint32_t flipped = bytes_[6] ^ 0x80u;  // bit 7: not overflowed
+    return static_cast<uint16_t>(((flipped & 0xfcu) << 6) |
+                                 bytes_[kBodyOffset + kCapacity - 1]);
+  }
+
   // Evicts the maximum element and inserts (q, r) in its place, restoring
   // the relaxed invariant.  Requires Full(), Overflowed(), and
   // q*256 + r <= MaxFingerprint().

@@ -101,6 +101,19 @@ class PrefixFilterBatchParity : public ::testing::Test {
     EXPECT_EQ(batch_stats.spare_queries, filter_.stats().spare_queries);
   }
 
+  // Splits keys by the scalar path's route: keys whose Contains() counted a
+  // spare query go to *spare_bound, the rest to *bin_bound.
+  void SplitByRoute(const std::vector<uint64_t>& keys,
+                    std::vector<uint64_t>* spare_bound,
+                    std::vector<uint64_t>* bin_bound) {
+    for (uint64_t k : keys) {
+      const uint64_t before = filter_.stats().spare_queries;
+      filter_.Contains(k);
+      (filter_.stats().spare_queries != before ? spare_bound : bin_bound)
+          ->push_back(k);
+    }
+  }
+
   PrefixFilter<Spare> filter_;
   std::vector<uint64_t> keys_;
 };
@@ -143,6 +156,73 @@ TYPED_TEST(PrefixFilterBatchParity, AllSpareBoundBatchMatchesScalar) {
   ASSERT_EQ(spare_bound.size(), wanted);
   this->ExpectBatchMatchesScalar(spare_bound, spare_bound.size());
   EXPECT_EQ(this->filter_.stats().spare_queries, wanted);
+}
+
+// --- ContainsBatch's spare queue at its boundaries --------------------------
+//
+// ContainsBatch holds spare-bound keys on a queue of kSpareQueueSize and
+// resolves it when it fills and at the end of the batch.  These batches put
+// the number of spare-bound keys on either side of those points, with
+// bin-bound keys between them, and end on either kind of key.
+
+TYPED_TEST(PrefixFilterBatchParity, SpareQueueBoundariesMatchScalar) {
+  constexpr size_t kQ = PrefixFilter<TypeParam>::kSpareQueueSize;
+  std::vector<uint64_t> candidates = RandomKeys(TestFixture::kKeys, 214);
+  for (size_t i = 0; i < candidates.size(); i += 2) {
+    candidates[i] = this->keys_[i];
+  }
+  std::vector<uint64_t> spare_bound;
+  std::vector<uint64_t> bin_bound;
+  this->SplitByRoute(candidates, &spare_bound, &bin_bound);
+  ASSERT_GE(spare_bound.size(), 2 * kQ + 1);
+  ASSERT_GE(bin_bound.size(), 3 * (2 * kQ + 1) + 1);
+  for (size_t spare_count : {size_t{1}, kQ - 1, kQ, kQ + 1, 2 * kQ + 1}) {
+    for (bool last_spare_bound : {false, true}) {
+      // Three bin-bound keys before each spare-bound one, and one more at
+      // the end unless the batch is to end on a spare-bound key.
+      std::vector<uint64_t> stream;
+      size_t next_bin = 0;
+      for (size_t j = 0; j < spare_count; ++j) {
+        for (int t = 0; t < 3; ++t) stream.push_back(bin_bound[next_bin++]);
+        stream.push_back(spare_bound[j]);
+      }
+      if (!last_spare_bound) stream.push_back(bin_bound[next_bin]);
+      SCOPED_TRACE(::testing::Message() << "spare_count=" << spare_count
+                                        << " last_spare_bound="
+                                        << last_spare_bound);
+      this->ExpectBatchMatchesScalar(stream, stream.size());
+      EXPECT_EQ(this->filter_.stats().spare_queries, spare_count);
+    }
+  }
+}
+
+TYPED_TEST(PrefixFilterBatchParity, QueueFillingSparePositiveMatchesScalar) {
+  // The kQ-th and 2kQ-th spare-bound keys are inserted keys whose
+  // fingerprints live in the spare, so their bin answers are 0 and only the
+  // spare answers 1.  Resolving the queue before such a key's bin answer is
+  // written would leave the 0.
+  constexpr size_t kQ = PrefixFilter<TypeParam>::kSpareQueueSize;
+  std::vector<uint64_t> spare_positives;
+  std::vector<uint64_t> bin_positives;
+  this->SplitByRoute(this->keys_, &spare_positives, &bin_positives);
+  std::vector<uint64_t> spare_negatives;
+  std::vector<uint64_t> bin_negatives;
+  this->SplitByRoute(RandomKeys(TestFixture::kKeys, 216), &spare_negatives,
+                     &bin_negatives);
+  ASSERT_GE(spare_positives.size(), 2u);
+  ASSERT_GE(spare_negatives.size(), 2 * kQ);
+  ASSERT_GE(bin_negatives.size(), 2 * kQ + 1);
+  std::vector<uint64_t> stream;
+  for (size_t j = 1; j <= 2 * kQ; ++j) {
+    stream.push_back(bin_negatives[j]);
+    stream.push_back(j % kQ == 0 ? spare_positives[j / kQ - 1]
+                                 : spare_negatives[j]);
+  }
+  stream.push_back(bin_negatives[0]);
+  ASSERT_TRUE(this->filter_.Contains(stream[2 * kQ - 1]));
+  ASSERT_TRUE(this->filter_.Contains(stream[4 * kQ - 1]));
+  this->ExpectBatchMatchesScalar(stream, stream.size());
+  EXPECT_EQ(this->filter_.stats().spare_queries, 2 * kQ);
 }
 
 // --- PrefixFilter batched insert vs. the scalar loop, on every spare ------

@@ -194,6 +194,36 @@ TEST(PD256, MarkOverflowedExposesMax) {
   EXPECT_EQ(pd.MaxFingerprint(), *model.rbegin());
 }
 
+TEST(PD256, SpareCutoffIsOverflowedAndAboveMax) {
+  // Every fingerprint, against PDs empty, part-filled, full, and overflowed
+  // with a maximum in a high list and in one of the first two.
+  Xoshiro256 rng(35);
+  std::vector<PD256> pds;
+  PD256 pd = MakeEmptyPd();
+  for (int i = 0; i < PD256::kCapacity; ++i) {
+    if (i % 8 == 0) pds.push_back(pd);
+    ASSERT_TRUE(pd.Insert(static_cast<int>(rng.Below(25)),
+                          static_cast<uint8_t>(rng.Next())));
+  }
+  pds.push_back(pd);
+  pd.MarkOverflowed();
+  pds.push_back(pd);
+  PD256 low = MakeEmptyPd();
+  for (int i = 0; i < PD256::kCapacity; ++i) {
+    ASSERT_TRUE(low.Insert(static_cast<int>(rng.Below(2)),
+                           static_cast<uint8_t>(rng.Next())));
+  }
+  low.MarkOverflowed();
+  pds.push_back(low);
+  for (const PD256& p : pds) {
+    for (int fp = 0; fp < 25 * 256; ++fp) {
+      ASSERT_EQ(fp > p.SpareCutoff(),
+                p.Overflowed() && fp > p.MaxFingerprint())
+          << "fp=" << fp << " overflowed=" << p.Overflowed();
+    }
+  }
+}
+
 TEST(PD256, ReplaceMaxKeepsPrefix) {
   PD256 pd = MakeEmptyPd();
   std::multiset<uint16_t> model;
