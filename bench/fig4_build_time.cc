@@ -39,7 +39,9 @@ Result Build(const std::string& name, Filter filter,
 }
 
 // The same build through the filter's batched insert, in 4096-key calls
-// (the service's batch size).
+// (the service's batch size).  Its "PF[TC] batch" row is the kernel-level
+// build number: the PD insert kernels and the insert pipeline without the
+// shard and service layers above them.
 template <typename Filter>
 Result BuildBatched(const std::string& name, Filter filter,
                     const std::vector<uint64_t>& keys) {

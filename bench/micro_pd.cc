@@ -61,6 +61,12 @@ void BM_PdNegativeQuery(benchmark::State& state) {
 BENCHMARK_TEMPLATE(BM_PdNegativeQuery, PD256)->Arg(12)->Arg(20)->Arg(25);
 BENCHMARK_TEMPLATE(BM_PdNegativeQuery, PD512)->Arg(24)->Arg(40)->Arg(48);
 
+// One dependent PD insert per iteration at low occupancy: the table resets
+// as soon as the first PD fills, so the PDs stay far from full.  It times
+// the PD insert alone and does not predict build throughput, where the gain
+// of a call-free insert comes from the whole insert inlining into the
+// batched build loop; bench_fig4_build_time's "PF[TC] batch" row is the
+// kernel-level build number.
 template <typename PD>
 void BM_PdInsert(benchmark::State& state) {
   AlignedBuffer<PD> pds(kNumPds);

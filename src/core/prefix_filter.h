@@ -283,17 +283,22 @@ class PrefixFilter {
 
  private:
   // Algorithm 1 for hash h: the one insert body behind Insert and
-  // InsertBatch.
+  // InsertBatch.  The common case, a bin with room, is one call-free PD
+  // insert and inlines into InsertBatch's loop.  The full-bin case runs the
+  // spare's code; kept out of line, it leaves InsertHashed well under
+  // GCC's inline size limit, which the whole body sits right at.
   bool InsertHashed(uint64_t h) {
     const uint64_t b = HashParts::Bin(h, num_bins_);
     const int q = static_cast<int>(HashParts::Quotient(h, kNumLists));
     const uint8_t r = HashParts::Remainder(h);
     ++stats_.inserts;
+    if (bins_[b].Insert(q, r)) return true;  // bin not full: common case
+    return InsertIntoFullBin(b, q, r);
+  }
 
+  // Bin b full: forward max{FP(x), max of bin} to the spare (Algorithm 1).
+  [[gnu::noinline]] bool InsertIntoFullBin(uint64_t b, int q, uint8_t r) {
     PD256& bin = bins_[b];
-    if (bin.Insert(q, r)) return true;  // bin not full: common case
-
-    // Bin full: forward max{FP(x), max of bin} to the spare (Algorithm 1).
     if (!bin.Overflowed()) bin.MarkOverflowed();
     const uint16_t fp_new = MiniFp(q, r);
     const uint16_t fp_max = bin.MaxFingerprint();

@@ -30,6 +30,13 @@
 // (>90% of random negative queries, Claim 3).  If v_r has a single set bit,
 // one POPCOUNT decides membership (>95% of the remainder, Claim 4).  Only
 // multi-match queries fall back to Select.
+//
+// Insert: the new element's header bit goes in with one bit insert at the
+// end of its list, and its remainder at the matching body index; one
+// ShiftInsert32 (src/util/simd.h) moves the body tail up a byte, stores the
+// remainder, and writes the new header word in a single in-register store.
+// No memmove call is left, so an insert inlines whole into the prefix
+// filter's batched build loop.
 #ifndef PREFIXFILTER_SRC_PD_PD256_H_
 #define PREFIXFILTER_SRC_PD_PD256_H_
 
@@ -79,18 +86,8 @@ class alignas(32) PD256 {
   // the prefix-filter insertion protocol instead once the PD is full.
   bool Insert(int q, uint8_t r) {
     const uint64_t header = Header();
-    const int t = PopCount64(header);
-    if (t == kCapacity) return false;
-    const uint64_t terminators = ~header;  // 0-bits of the header
-    const int z_q = Select64(terminators, q);  // position of list q's end
-    const int body_index = z_q - q;            // append at end of list q
-    const int insert_pos = (q == 0) ? 0 : Select64(terminators, q - 1) + 1;
-    SetHeader(InsertOneBit64(header, insert_pos));
-    uint8_t* body = bytes_ + kBodyOffset;
-    std::memmove(body + body_index + 1, body + body_index,
-                 static_cast<size_t>(t - body_index));
-    body[body_index] = r;
-    if (Overflowed() && body_index == kCapacity - 1) {
+    if (PopCount64(header) == kCapacity) return false;
+    if (ShiftInsert(header, q, r) == kCapacity - 1 && Overflowed()) {
       // The insert landed in the last slot, displacing the cached maximum;
       // re-establish the relaxed invariant (only possible when the new
       // element joins the last non-empty list).
@@ -140,8 +137,7 @@ class alignas(32) PD256 {
     // highest 1-bit of the header; with everything above it zero, removing
     // it is a single bit clear.
     const uint64_t header = Header();
-    SetHeader(header & ~(uint64_t{1} << HighestSetBit64(header)));
-    Insert(q, r);
+    ShiftInsert(header & ~(uint64_t{1} << HighestSetBit64(header)), q, r);
     EstablishMaxInvariant();
   }
 
@@ -184,11 +180,21 @@ class alignas(32) PD256 {
     return w & kHeaderMask;
   }
 
-  void SetHeader(uint64_t h) {
-    uint64_t w;
-    std::memcpy(&w, bytes_, 8);
-    w = (w & ~kHeaderMask) | (h & kHeaderMask);
-    std::memcpy(bytes_, &w, 8);
+  // The shared write of Insert and ReplaceMax: appends r to list q of
+  // `header` (which must hold fewer than kCapacity elements) and stores the
+  // new header and body with one ShiftInsert32.  Returns r's body index.
+  int ShiftInsert(uint64_t header, int q, uint8_t r) {
+    const int t = PopCount64(header);
+    const int z_q = Select64(~header, q);  // list q's terminator
+    const int body_index = z_q - q;        // append at end of list q
+    uint64_t word;  // header, metadata and body[0]
+    std::memcpy(&word, bytes_, 8);
+    // A 1-bit anywhere in list q's run of 1-bits gives the same header, so
+    // it goes in just before the terminator.
+    word = (word & ~kHeaderMask) |
+           (InsertOneBit64(header, z_q) & kHeaderMask);
+    ShiftInsert32(bytes_, word, kBodyOffset + body_index, kBodyOffset + t, r);
+    return body_index;
   }
 
   void SetMaxQuotient(int q) {

@@ -8,8 +8,11 @@
 //
 // The header uses the same complemented Elias-Fano encoding as PD256
 // (1-bits are elements, 0-bits terminate lists; all-zero memory is a valid
-// empty PD), spread across two 64-bit words.  TwoChoicer never evicts, so
-// PD512 has no max-element machinery.
+// empty PD), spread across two 64-bit words.  An insert is one bit insert
+// into the header plus one ShiftInsert64 (src/util/simd.h), which opens the
+// body slot, stores the remainder and writes both header words in a single
+// in-register store.  TwoChoicer never evicts, so PD512 has no max-element
+// machinery.
 #ifndef PREFIXFILTER_SRC_PD_PD512_H_
 #define PREFIXFILTER_SRC_PD_PD512_H_
 
@@ -54,21 +57,18 @@ class alignas(64) PD512 {
     Bits128 header = Header();
     const int t = PopCount128(header);
     if (t == kCapacity) return false;
-    const Bits128 terminators{~header.lo, ~header.hi};
-    const int z_q = Select128(terminators, q);
+    const int z_q = Select128({~header.lo, ~header.hi}, q);  // list q's end
     const int body_index = z_q - q;
-    const int insert_pos = (q == 0) ? 0 : Select128(terminators, q - 1) + 1;
-    header = InsertZeroBit128(header, insert_pos);
-    if (insert_pos < 64) {
-      header.lo |= uint64_t{1} << insert_pos;
+    // A 1-bit anywhere in list q's run of 1-bits gives the same header, so
+    // it goes in just before the terminator.
+    header = InsertZeroBit128(header, z_q);
+    if (z_q < 64) {
+      header.lo |= uint64_t{1} << z_q;
     } else {
-      header.hi |= uint64_t{1} << (insert_pos - 64);
+      header.hi |= uint64_t{1} << (z_q - 64);
     }
-    SetHeader(header);
-    uint8_t* body = bytes_ + kBodyOffset;
-    std::memmove(body + body_index + 1, body + body_index,
-                 static_cast<size_t>(t - body_index));
-    body[body_index] = r;
+    ShiftInsert64(bytes_, header.lo, header.hi, kBodyOffset + body_index,
+                  kBodyOffset + t, r);
     return true;
   }
 
@@ -102,11 +102,6 @@ class alignas(64) PD512 {
     std::memcpy(&h.lo, bytes_, 8);
     std::memcpy(&h.hi, bytes_ + 8, 8);
     return h;
-  }
-
-  void SetHeader(Bits128 h) {
-    std::memcpy(bytes_, &h.lo, 8);
-    std::memcpy(bytes_ + 8, &h.hi, 8);
   }
 
   uint8_t bytes_[64];

@@ -5,11 +5,17 @@
 // bitvector v_r with v_r[i] = 1 iff body[i] == r (VPBROADCAST + VPCMP in the
 // paper), then reason about v_r instead of running Select over the header.
 // This header provides those byte-match kernels for 32-byte and 64-byte
-// blocks with AVX-512BW, AVX2, and portable fallbacks, plus the 8-lane
-// blocked-Bloom mask kernel and the wire codec's CRC-32.
+// blocks with AVX-512BW, AVX2, and portable fallbacks; the matching
+// shift-insert kernels a PD insert is made of (open one body slot by moving
+// the tail of the body up a byte, store the new remainder in it, and write
+// the new header, all in registers and one store: a masked VPERMB on
+// AVX-512 VBMI, a branch-free SWAR over the block's 64-bit words
+// elsewhere); the 8-lane blocked-Bloom mask kernel; and the wire codec's
+// CRC-32.
 #ifndef PREFIXFILTER_SRC_UTIL_SIMD_H_
 #define PREFIXFILTER_SRC_UTIL_SIMD_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -18,6 +24,11 @@
 #define PF_HAVE_AVX512 1
 #else
 #define PF_HAVE_AVX512 0
+#endif
+#if PF_HAVE_AVX512 && defined(__AVX512VBMI__)
+#define PF_HAVE_AVX512VBMI 1
+#else
+#define PF_HAVE_AVX512VBMI 0
 #endif
 #if defined(__AVX2__)
 #define PF_HAVE_AVX2 1
@@ -80,6 +91,115 @@ inline uint64_t FindByteMask64(const void* block, uint8_t needle) {
   return (static_cast<uint64_t>(hi) << 32) | lo;
 #else
   return FindByteMaskScalar(block, needle, 64);
+#endif
+}
+
+// ---------------------------------------------------------------------------
+// Shift-insert kernels: the whole write of a pocket-dictionary insert.
+// ShiftInsert32(block, head, pos, last, byte) leaves the block as
+//   memcpy(block, &head, 8);
+//   memmove(block + pos + 1, block + pos, last - pos);
+//   block[pos] = byte;
+// would: bytes pos+1 .. last take their left neighbour, `byte` lands at
+// pos, bytes past `last` keep their value, and the header word is written
+// in the same store.  ShiftInsert64 is the 64-byte twin with a two-word
+// (16-byte) head.  Requires 0 <= pos <= last < the block size; `block` is
+// aligned to its size.  Neither variant calls out or branches on pos or
+// last, so a PD insert inlines whole into a caller's loop.
+//   * AVX-512 VBMI: one VPERMB with the constant "index - 1" vector,
+//     masked to bytes pos+1 .. last, then a masked broadcast of `byte`.
+//   * Portable: a branch-free SWAR over the 4 or 8 words; each word blends
+//     itself, itself shifted up a byte (carrying in its lower neighbour's
+//     top byte), and the broadcast `byte` under per-word byte masks.
+// ---------------------------------------------------------------------------
+
+namespace shift_insert_internal {
+// The bytes [c, 8) of a word, c clamped to [0, 8]; the shift is split in
+// two so that c = 8 (no bytes) stays a defined shift.
+inline uint64_t BytesFrom(int c) {
+  c = std::min(std::max(c, 0), 8);
+  return ~uint64_t{0} << (4 * c) << (4 * c);
+}
+
+template <int kWords, int kHeadWords>
+inline void ShiftInsertSwar(void* block, const uint64_t (&head)[kHeadWords],
+                            int pos, int last, uint8_t byte) {
+  uint64_t w[kWords];
+  std::memcpy(w, block, sizeof(w));
+  for (int i = 0; i < kHeadWords; ++i) w[i] = head[i];
+  const uint64_t fill = byte * uint64_t{0x0101010101010101};
+  uint64_t carry = 0;  // top byte of the word below
+  for (int i = 0; i < kWords; ++i) {
+    const uint64_t up = (w[i] << 8) | carry;
+    carry = w[i] >> 56;
+    const uint64_t from_pos = BytesFrom(pos - 8 * i);
+    const uint64_t past_pos = BytesFrom(pos + 1 - 8 * i);
+    const uint64_t kept = ~BytesFrom(last + 1 - 8 * i);
+    w[i] = (w[i] & ~(from_pos & kept)) | (up & past_pos & kept) |
+           (fill & from_pos & ~past_pos);
+  }
+  std::memcpy(block, w, sizeof(w));
+}
+
+#if PF_HAVE_AVX512VBMI
+// Byte i holds i - 1: a VPERMB with it moves every byte up one.
+alignas(64) inline constexpr uint8_t kShiftUpIndex[64] = {
+    0,  0,  1,  2,  3,  4,  5,  6,  7,  8,  9,  10, 11, 12, 13, 14,
+    15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30,
+    31, 32, 33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46,
+    47, 48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60, 61, 62};
+#endif
+}  // namespace shift_insert_internal
+
+// Portable shift-insert over a 32-byte block, compiled on every build so
+// tests check it on any host.
+inline void ShiftInsert32Portable(void* block, uint64_t head, int pos,
+                                  int last, uint8_t byte) {
+  const uint64_t heads[1] = {head};
+  shift_insert_internal::ShiftInsertSwar<4>(block, heads, pos, last, byte);
+}
+
+// Portable shift-insert over a 64-byte block.
+inline void ShiftInsert64Portable(void* block, uint64_t head_lo,
+                                  uint64_t head_hi, int pos, int last,
+                                  uint8_t byte) {
+  const uint64_t heads[2] = {head_lo, head_hi};
+  shift_insert_internal::ShiftInsertSwar<8>(block, heads, pos, last, byte);
+}
+
+// Shift-insert over a 32-byte block (a PD256 insert).
+inline void ShiftInsert32(void* block, uint64_t head, int pos, int last,
+                          uint8_t byte) {
+#if PF_HAVE_AVX512VBMI
+  const __m256i index = _mm256_load_si256(reinterpret_cast<const __m256i*>(
+      shift_insert_internal::kShiftUpIndex));
+  const uint32_t moved =
+      ((uint32_t{2} << last) - 1) & ~((uint32_t{2} << pos) - 1);
+  __m256i v = _mm256_load_si256(static_cast<const __m256i*>(block));
+  v = _mm256_mask_set1_epi64(v, 0x1, static_cast<long long>(head));
+  v = _mm256_mask_permutexvar_epi8(v, moved, index, v);
+  v = _mm256_mask_set1_epi8(v, uint32_t{1} << pos, static_cast<char>(byte));
+  _mm256_store_si256(static_cast<__m256i*>(block), v);
+#else
+  ShiftInsert32Portable(block, head, pos, last, byte);
+#endif
+}
+
+// Shift-insert over a 64-byte block (a PD512 insert).
+inline void ShiftInsert64(void* block, uint64_t head_lo, uint64_t head_hi,
+                          int pos, int last, uint8_t byte) {
+#if PF_HAVE_AVX512VBMI
+  const __m512i index = _mm512_load_si512(shift_insert_internal::kShiftUpIndex);
+  const uint64_t moved =
+      ((uint64_t{2} << last) - 1) & ~((uint64_t{2} << pos) - 1);
+  __m512i v = _mm512_load_si512(block);
+  v = _mm512_mask_set1_epi64(v, 0x1, static_cast<long long>(head_lo));
+  v = _mm512_mask_set1_epi64(v, 0x2, static_cast<long long>(head_hi));
+  v = _mm512_mask_permutexvar_epi8(v, moved, index, v);
+  v = _mm512_mask_set1_epi8(v, uint64_t{1} << pos, static_cast<char>(byte));
+  _mm512_store_si512(block, v);
+#else
+  ShiftInsert64Portable(block, head_lo, head_hi, pos, last, byte);
 #endif
 }
 

@@ -196,7 +196,8 @@ TEST(PD256, MarkOverflowedExposesMax) {
 
 TEST(PD256, SpareCutoffIsOverflowedAndAboveMax) {
   // Every fingerprint, against PDs empty, part-filled, full, and overflowed
-  // with a maximum in a high list and in one of the first two.
+  // with a maximum in a high list, in one of the first two, and in list 0
+  // holding all 25 elements.
   Xoshiro256 rng(35);
   std::vector<PD256> pds;
   PD256 pd = MakeEmptyPd();
@@ -215,6 +216,12 @@ TEST(PD256, SpareCutoffIsOverflowedAndAboveMax) {
   }
   low.MarkOverflowed();
   pds.push_back(low);
+  PD256 first = MakeEmptyPd();
+  for (int i = 0; i < PD256::kCapacity; ++i) {
+    ASSERT_TRUE(first.Insert(0, static_cast<uint8_t>(rng.Next())));
+  }
+  first.MarkOverflowed();
+  pds.push_back(first);
   for (const PD256& p : pds) {
     for (int fp = 0; fp < 25 * 256; ++fp) {
       ASSERT_EQ(fp > p.SpareCutoff(),

@@ -63,6 +63,76 @@ TEST_F(SimdTest, FindByteMask32SingleMatchEveryPosition) {
   }
 }
 
+// --- shift-insert kernels -------------------------------------------------
+
+// A kernel under test, called as kernel(block, head_words, pos, last, byte).
+template <int kSize, typename Kernel>
+void ExpectShiftInsertMatchesMemmove(Kernel kernel, uint64_t seed) {
+  constexpr int kHeadWords = kSize / 32;  // 8 header bytes per 32
+  Xoshiro256 rng(seed);
+  for (int last = 0; last < kSize; ++last) {
+    for (int pos = 0; pos <= last; ++pos) {
+      for (int trial = 0; trial < 4; ++trial) {
+        // Non-zero bytes everywhere, past `last` too: a crafted snapshot can
+        // carry them, and the kernel must leave them as they are.
+        alignas(64) uint8_t got[kSize];
+        for (auto& b : got) b = static_cast<uint8_t>(1 + rng.Below(255));
+        uint64_t head[kHeadWords];
+        for (auto& h : head) h = rng.Next();
+        const uint8_t byte = static_cast<uint8_t>(rng.Next());
+        alignas(64) uint8_t want[kSize];
+        std::memcpy(want, got, kSize);
+        std::memcpy(want, head, sizeof(head));
+        std::memmove(want + pos + 1, want + pos,
+                     static_cast<size_t>(last - pos));
+        want[pos] = byte;
+        kernel(got, head, pos, last, byte);
+        ASSERT_EQ(std::memcmp(got, want, kSize), 0)
+            << "pos=" << pos << " last=" << last << " trial=" << trial;
+      }
+    }
+  }
+}
+
+void Portable32(uint8_t* b, const uint64_t* head, int pos, int last,
+                uint8_t byte) {
+  ShiftInsert32Portable(b, head[0], pos, last, byte);
+}
+void Portable64(uint8_t* b, const uint64_t* head, int pos, int last,
+                uint8_t byte) {
+  ShiftInsert64Portable(b, head[0], head[1], pos, last, byte);
+}
+void Dispatched32(uint8_t* b, const uint64_t* head, int pos, int last,
+                  uint8_t byte) {
+  ShiftInsert32(b, head[0], pos, last, byte);
+}
+void Dispatched64(uint8_t* b, const uint64_t* head, int pos, int last,
+                  uint8_t byte) {
+  ShiftInsert64(b, head[0], head[1], pos, last, byte);
+}
+
+constexpr const char* kNoVbmi =
+    "AVX-512 VBMI kernel not compiled in (needs PF_NATIVE=ON on a host with "
+    "avx512vbmi); the portable kernel is covered by the Portable cases";
+
+TEST(ShiftInsertKernel, Portable32MatchesMemmove) {
+  ExpectShiftInsertMatchesMemmove<32>(Portable32, 17);
+}
+
+TEST(ShiftInsertKernel, Portable64MatchesMemmove) {
+  ExpectShiftInsertMatchesMemmove<64>(Portable64, 18);
+}
+
+TEST(ShiftInsertKernel, Vbmi32MatchesMemmove) {
+  if (!PF_HAVE_AVX512VBMI) GTEST_SKIP() << kNoVbmi;
+  ExpectShiftInsertMatchesMemmove<32>(Dispatched32, 19);
+}
+
+TEST(ShiftInsertKernel, Vbmi64MatchesMemmove) {
+  if (!PF_HAVE_AVX512VBMI) GTEST_SKIP() << kNoVbmi;
+  ExpectShiftInsertMatchesMemmove<64>(Dispatched64, 20);
+}
+
 // --- blocked-Bloom kernel --------------------------------------------------
 
 TEST(BlockedBloomKernel, AddThenContains) {
