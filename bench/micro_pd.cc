@@ -61,6 +61,55 @@ void BM_PdNegativeQuery(benchmark::State& state) {
 BENCHMARK_TEMPLATE(BM_PdNegativeQuery, PD256)->Arg(12)->Arg(20)->Arg(25);
 BENCHMARK_TEMPLATE(BM_PdNegativeQuery, PD512)->Arg(24)->Arg(40)->Arg(48);
 
+// A PD query as a membership service sees it: half the (PD, q, r) probes
+// are stored elements and half uniform (absent w.o.p.), in random order.
+// BM_PdNegativeQuery's all-negative stream makes every data-dependent
+// branch of a query predictable; here a branch on "does any body byte
+// match r" mispredicts about half the time, so this is the bench that
+// shows what a branch-free query saves (or an alternating or segregated
+// stream would hide).
+struct Probe {
+  uint32_t pd;
+  uint8_t q;
+  uint8_t r;
+};
+
+template <typename PD>
+std::vector<Probe> MixedStream(const AlignedBuffer<PD>& pds, size_t count,
+                               uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<Probe> stream;
+  stream.reserve(count);
+  while (stream.size() < count) {
+    const uint32_t pd = static_cast<uint32_t>(rng.Below(pds.size()));
+    if (rng.Next() & 1) {
+      const auto elements = pds[pd].Decode();
+      if (elements.empty()) continue;
+      const auto [q, r] = elements[rng.Below(elements.size())];
+      stream.push_back({pd, static_cast<uint8_t>(q), r});
+    } else {
+      stream.push_back({pd, static_cast<uint8_t>(rng.Below(PD::kNumLists)),
+                        static_cast<uint8_t>(rng.Next())});
+    }
+  }
+  return stream;
+}
+
+template <typename PD>
+void BM_PdMixedQuery(benchmark::State& state) {
+  AlignedBuffer<PD> pds(kNumPds);
+  FillPds(pds, static_cast<int>(state.range(0)), 1);
+  const auto stream = MixedStream(pds, 1 << 16, 2);
+  size_t i = 0;
+  for (auto _ : state) {
+    const Probe& p = stream[i++ & 0xffff];
+    benchmark::DoNotOptimize(pds[p.pd].Find(p.q, p.r));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_TEMPLATE(BM_PdMixedQuery, PD256)->Arg(12)->Arg(20)->Arg(25);
+BENCHMARK_TEMPLATE(BM_PdMixedQuery, PD512)->Arg(24)->Arg(40)->Arg(48);
+
 // One dependent PD insert per iteration at low occupancy: the table resets
 // as soon as the first PD fills, so the PDs stay far from full.  It times
 // the PD insert alone and does not predict build throughput, where the gain

@@ -152,7 +152,14 @@ class PrefixFilter {
   // the bin pipeline instead of stalling it one at a time.  On PF[TC] at
   // n = 0.94 * 2^27 (perfbench inproc-large, traced medians) this took the
   // ladder's core rung from 43.6 to 31.9 ns/key, its shard rung from 50.9
-  // to 33.8 and its service sync rung from 51.9 to 39.0.
+  // to 33.8 and its service sync rung from 51.9 to 39.0.  The bin test
+  // itself (PD256::Find) has no data-dependent branch on BMI2 builds, which
+  // matters on random mixes of present and absent keys: on perfbench
+  // wire-bulk's 50/50 stream (6 MB table, traced medians of three run
+  // pairs) it took the core rung from 26.2 to 19.0 ns/key, the shard rung
+  // from 35.8 to 22.2 and the service sync rung from 35.9 to 23.5.  On an
+  // all-negative stream, where the paper's v_r == 0 jump was always
+  // predicted, the extra header work costs a few cycles instead.
   // Answers and stats() totals equal those of a Contains() loop.
   void ContainsBatch(const uint64_t* keys, size_t count, uint8_t* out) const {
     stats_.queries += count;

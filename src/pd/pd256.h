@@ -25,11 +25,25 @@
 // and exactly i ones precede it — the O(1) membership check behind the
 // paper's query cutoff (Algorithm 3).
 //
-// Query fast path (§5.2.2): a SIMD broadcast-compare over the whole 32-byte
-// block yields the body match bitvector v_r.  If v_r == 0 the answer is "No"
-// (>90% of random negative queries, Claim 3).  If v_r has a single set bit,
-// one POPCOUNT decides membership (>95% of the remainder, Claim 4).  Only
-// multi-match queries fall back to Select.
+// Query (§5.2.2): a SIMD broadcast-compare over the whole 32-byte block
+// yields the body match bitvector v_r.  The paper's fast path branches on
+// it: v_r == 0 answers "No" (>90% of random negative queries, Claim 3), a
+// single set bit costs one POPCOUNT (>95% of the remainder, Claim 4), and
+// only multi-match queries fall back to Select.  Claims 3 and 4 still bound
+// how often each case occurs, and FindWithPath reports them, but with BMI2
+// Find does not branch on them.  On a stream that mixes present and absent
+// keys in random order (what a membership service sees) the v_r == 0 jump
+// is a coin flip, and its mispredictions cost more than the Selects it
+// skips.  So Find always computes list q's body range [begin, end) with two
+// PDEP-based Selects, with no jump, and tests whether v_r has a 1 in it.
+// The price is paid on all-negative streams, where the jump was always
+// predicted and the header work is now extra (BM_PdNegativeQuery).
+// This relies on a fast PDEP, as Select64 does (Intel, and AMD from Zen 3).
+// Builds without BMI2 keep the branching path (FindImpl): there Select64
+// is a broadword sequence of some 30 instructions, not one PDEP, and the
+// branch-free body made the PF and SHARD16 query rows of a PF_NATIVE=OFF
+// `bench_all --quick` 12-20% slower (geomean over workloads), gaining only
+// on mixed-50-50.
 //
 // Insert: the new element's header bit goes in with one bit insert at the
 // end of its list, and its remainder at the matching body index; one
@@ -73,10 +87,26 @@ class alignas(32) PD256 {
 
   // Membership test for (q, r).  q in [0, kNumLists), r in [0, 256).
   bool Find(int q, uint8_t r) const {
+#if PF_HAVE_BMI2
+    const uint32_t v = FindByteMask32(bytes_, r) >> kBodyOffset;
+    // The first 25 header zeros lie in bits [0, 25 + t), so the metadata
+    // and body bits above the header need no mask for q < kNumLists.
+    uint64_t word;
+    std::memcpy(&word, bytes_, 8);
+    const uint64_t terminators = ~word;
+    // List q's body range is [begin, end): list q ends at its terminator
+    // and starts after list q - 1's; the injected low bit makes list 0
+    // start at 0 with no q == 0 case.
+    const int begin = Select64((terminators << 1) | 1, q) - q;
+    const int end = Select64(terminators, q) - q;
+    return (LowBits64(v, end) >> begin) != 0;
+#else
     return FindImpl<false>(q, r, nullptr);
+#endif
   }
 
-  // Like Find, but reports which query path produced the answer.
+  // Like Find, but branches on v_r as the paper does (Claims 3 and 4) and
+  // reports which path produced the answer.
   bool FindWithPath(int q, uint8_t r, PdQueryPath* path) const {
     return FindImpl<true>(q, r, path);
   }

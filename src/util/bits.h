@@ -41,21 +41,68 @@ inline uint64_t MaskRange64(int lo, int hi) {
 // Rank(x, i): number of set bits of `x` in positions [0, i).
 inline int Rank64(uint64_t x, int i) { return PopCount64(x & MaskLow64(i)); }
 
+// `x` with bits [n, 64) cleared (BZHI).  Requires 0 <= n <= 64.
+inline uint64_t LowBits64(uint64_t x, int n) {
+#if PF_HAVE_BMI2
+  return _bzhi_u64(x, static_cast<unsigned>(n));
+#else
+  return x & MaskLow64(n);
+#endif
+}
+
+namespace bits_internal {
+inline constexpr uint64_t kOnesStep8 = 0x0101010101010101;
+inline constexpr uint64_t kMsbsStep8 = 0x8080808080808080;
+
+// The number of bytes of `sums` that are <= j; every byte and j are < 128.
+// Setting each byte's top bit before the subtraction keeps the bytes from
+// borrowing from each other, and the top bit survives iff byte <= j.
+inline int BytesAtMost(uint64_t sums, uint64_t j) {
+  const uint64_t at_most =
+      (((j * kOnesStep8) | kMsbsStep8) - sums) & kMsbsStep8;
+  return static_cast<int>(((at_most >> 7) * kOnesStep8) >> 56);
+}
+}  // namespace bits_internal
+
+// Broadword Select64 for builds without BMI2, compiled on every build so
+// tests check it on any host.  Branch-free: byte popcounts, their prefix
+// sums by one multiply, the target byte as the number of prefix sums <= j,
+// then the same count over the bits of that byte.  No POPCNT instruction
+// (the portable baseline has none).  Requires 0 <= j < 64.
+inline int Select64Portable(uint64_t x, int j) {
+  using bits_internal::BytesAtMost;
+  using bits_internal::kMsbsStep8;
+  using bits_internal::kOnesStep8;
+  uint64_t counts = x - ((x >> 1) & 0x5555555555555555);
+  counts = (counts & 0x3333333333333333) +
+           ((counts >> 2) & 0x3333333333333333);
+  counts = (counts + (counts >> 4)) & 0x0f0f0f0f0f0f0f0f;
+  const uint64_t sums = counts * kOnesStep8;  // byte i: ones in bytes [0, i]
+  const uint64_t rank = static_cast<uint64_t>(j);
+  const int byte = BytesAtMost(sums, rank);  // 8 if x has <= j ones
+  const int shift = (byte * 8) & 63;
+  const uint64_t rank_in_byte = rank - (((sums << 8) >> shift) & 0xff);
+  // Byte i of `spread` keeps bit i of the target byte; the add carries it
+  // to the byte's top bit, so `bit_sums` byte i counts its ones in [0, i].
+  const uint64_t spread =
+      (((x >> shift) & 0xff) * kOnesStep8) & 0x8040201008040201;
+  const uint64_t bit_sums =
+      (((spread + 0x7f7f7f7f7f7f7f7f) & kMsbsStep8) >> 7) * kOnesStep8;
+  const int pos = byte * 8 + BytesAtMost(bit_sums, rank_in_byte);
+  return pos < 64 ? pos : 64;  // byte == 8 gives 64 + 8
+}
+
 // Select(x, j): index of the j-th (0-based) set bit of `x`; 64 if there is
-// no such bit.  This is the "fast x86 Select" of Pandey et al. [41] that the
-// paper's PD implementation works hard to avoid on its fast path: PDEP
-// deposits a single bit at the position of the j-th one, TZCNT extracts it.
+// no such bit.  Requires 0 <= j < 64.  This is the "fast x86 Select" of
+// Pandey et al. [41] that the paper's PD implementation works hard to avoid
+// on its fast path: PDEP deposits a single bit at the position of the j-th
+// one, TZCNT extracts it.  PDEP is fast on Intel and on AMD from Zen 3; it
+// is microcoded (tens of cycles) on earlier AMD cores.
 inline int Select64(uint64_t x, int j) {
 #if PF_HAVE_BMI2
   return static_cast<int>(_tzcnt_u64(_pdep_u64(uint64_t{1} << j, x)));
 #else
-  for (int i = 0; i < 64; ++i) {
-    if ((x >> i) & 1) {
-      if (j == 0) return i;
-      --j;
-    }
-  }
-  return 64;
+  return Select64Portable(x, j);
 #endif
 }
 

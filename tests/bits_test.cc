@@ -56,6 +56,43 @@ TEST(Bits, SelectAgainstNaive) {
   }
 }
 
+// The broadword select behind PF_NATIVE=OFF builds, checked on every build:
+// random words of every density, every byte pattern, and j past the last
+// one (which must give 64).
+TEST(Bits, SelectPortableAgainstNaive) {
+  Xoshiro256 rng(2);
+  for (int trial = 0; trial < 4000; ++trial) {
+    uint64_t x = rng.Next();
+    for (int thin = trial % 4; thin > 0; --thin) x &= rng.Next();
+    if (trial % 5 == 0) x |= rng.Next();  // dense words too
+    for (int j = 0; j < 64; ++j) {
+      ASSERT_EQ(Select64Portable(x, j), SelectNaive(x, j))
+          << "x=" << x << " j=" << j;
+    }
+  }
+  for (uint64_t byte = 0; byte < 256; ++byte) {
+    for (int at = 0; at < 64; at += 8) {
+      const uint64_t x = byte << at;
+      for (int j = 0; j < 9; ++j) {
+        ASSERT_EQ(Select64Portable(x, j), SelectNaive(x, j))
+            << "x=" << x << " j=" << j;
+      }
+    }
+  }
+  for (int j = 0; j < 64; ++j) {
+    ASSERT_EQ(Select64Portable(~uint64_t{0}, j), j);
+    ASSERT_EQ(Select64Portable(0, j), 64);
+  }
+}
+
+TEST(Bits, LowBits) {
+  const uint64_t x = 0xf0f0f0f0f0f0f0f0;
+  EXPECT_EQ(LowBits64(x, 0), 0u);
+  EXPECT_EQ(LowBits64(x, 5), 0x10u);
+  EXPECT_EQ(LowBits64(x, 32), 0xf0f0f0f0u);
+  EXPECT_EQ(LowBits64(x, 64), x);
+}
+
 TEST(Bits, SelectOutOfRange) {
   EXPECT_EQ(Select64(0, 0), 64);
   EXPECT_EQ(Select64(0b1, 1), 64);

@@ -6,11 +6,13 @@
 #include <algorithm>
 #include <cstring>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/pd/pd_reference.h"
 #include "src/util/random.h"
 
 namespace prefixfilter {
@@ -147,6 +149,106 @@ TEST(PD256, QueryPathsReported) {
   EXPECT_EQ(path, PdQueryPath::kSelectFallback);
   EXPECT_FALSE(pd.FindWithPath(7, 10, &path));
   EXPECT_EQ(path, PdQueryPath::kSelectFallback);
+}
+
+// A PD256 and the reference PD fed the same operations.
+struct MirroredPd {
+  PD256 pd = MakeEmptyPd();
+  ReferencePd ref{PD256::kNumLists, PD256::kCapacity};
+
+  void Insert(int q, uint8_t r) {
+    ASSERT_TRUE(pd.Insert(q, r));
+    ASSERT_TRUE(ref.Insert(q, r));
+  }
+  // Requires a full, overflowed PD and q*256 + r <= its maximum.
+  void ReplaceMax(int q, uint8_t r) {
+    pd.ReplaceMax(q, r);
+    ref.RemoveMax();
+    ASSERT_TRUE(ref.Insert(q, r));
+  }
+};
+
+// Find (branch-free with BMI2), FindWithPath (the paper's branching path)
+// and the reference PD agree on every (q, r) in [25] x [256], over PDs
+// whose shapes hit the list-range edge cases: list 0 (begin = 0 with no
+// preceding terminator), list 24 (the last terminator), empty lists next
+// to full ones, and overflowed PDs whose metadata bits sit just above the
+// header.  Remainders come from a small alphabet so most probes match
+// several body bytes.
+TEST(PD256, FindExhaustiveOnStructuredPds) {
+  const uint8_t kAlphabet[] = {0, 1, 7, 128, 255};
+  const auto r_at = [&](int i) { return kAlphabet[i % 5]; };
+  std::vector<std::pair<std::string, MirroredPd>> cases;
+  cases.emplace_back("empty", MirroredPd{});
+  {
+    MirroredPd m;
+    for (int i = 0; i < PD256::kCapacity; ++i) m.Insert(0, r_at(i));
+    cases.emplace_back("25 in list 0", m);
+  }
+  {
+    MirroredPd m;
+    for (int i = 0; i < PD256::kCapacity; ++i) m.Insert(24, r_at(i));
+    cases.emplace_back("25 in list 24", m);
+  }
+  {
+    MirroredPd m;
+    for (int q = 0; q < PD256::kNumLists; ++q) m.Insert(q, r_at(q));
+    cases.emplace_back("one per list", m);
+  }
+  {
+    MirroredPd m;  // lists 0, 1, 12 and 24 hold everything
+    for (int i = 0; i < 7; ++i) m.Insert(0, r_at(i));
+    for (int i = 0; i < 6; ++i) m.Insert(1, r_at(i + 2));
+    for (int i = 0; i < 6; ++i) m.Insert(12, r_at(i + 1));
+    for (int i = 0; i < 6; ++i) m.Insert(24, r_at(i + 3));
+    cases.emplace_back("empty lists between full ones", m);
+  }
+  {
+    MirroredPd m;  // part-filled, every other list empty
+    for (int q = 1; q < PD256::kNumLists; q += 2) {
+      m.Insert(q, r_at(q));
+      m.Insert(q, r_at(q + 1));
+    }
+    cases.emplace_back("odd lists only", m);
+  }
+  Xoshiro256 rng(34);
+  for (int trial = 0; trial < 4; ++trial) {
+    MirroredPd m;
+    for (int i = 0; i < PD256::kCapacity; ++i) {
+      m.Insert(static_cast<int>(rng.Below(PD256::kNumLists)),
+               r_at(static_cast<int>(rng.Below(5))));
+    }
+    cases.emplace_back("full", m);
+    m.pd.MarkOverflowed();
+    cases.emplace_back("overflowed", m);
+    for (int i = 0; i < 40; ++i) {
+      const int q = static_cast<int>(rng.Below(PD256::kNumLists));
+      const uint8_t r = static_cast<uint8_t>(rng.Next());
+      if (((q << 8) | r) <= m.pd.MaxFingerprint()) m.ReplaceMax(q, r);
+    }
+    cases.emplace_back("overflowed after ReplaceMax", m);
+  }
+  {
+    MirroredPd m;  // overflowed with list 24 (header bits up to 49) in use
+    for (int i = 0; i < PD256::kCapacity; ++i) m.Insert(i % 2 ? 24 : 0, 255);
+    m.pd.MarkOverflowed();
+    m.ReplaceMax(3, 7);
+    cases.emplace_back("overflowed, max quotient 24", m);
+  }
+
+  for (const auto& [name, m] : cases) {
+    for (int q = 0; q < PD256::kNumLists; ++q) {
+      for (int r = 0; r < 256; ++r) {
+        const uint8_t rr = static_cast<uint8_t>(r);
+        const bool want = m.ref.Find(q, rr);
+        PdQueryPath path;
+        ASSERT_EQ(m.pd.Find(q, rr), want)
+            << name << ": Find(" << q << ", " << r << ")";
+        ASSERT_EQ(m.pd.FindWithPath(q, rr, &path), want)
+            << name << ": FindWithPath(" << q << ", " << r << ")";
+      }
+    }
+  }
 }
 
 // Claims 3 & 4 (§5.2.2), empirically: for a PD filled with uniform random
