@@ -24,6 +24,9 @@
 //
 // Both batch paths, ContainsBatch and InsertBatch, run the rolling prefetch
 // pipeline of batch_pipeline.h so that the bin misses of a batch overlap.
+// Each is the identity-index case of one body (ContainsIndexed,
+// InsertIndexed) that also runs a list of key positions, which is how a
+// sharded filter probes one shard's keys of a routed batch in place.
 // In ContainsBatch, Algorithm 2's spare test is one comparison that only
 // the ~6% of keys it sends to the spare branch on; those keys wait on a
 // fixed 32-key queue with their spare lines prefetched, so the spare misses
@@ -70,10 +73,16 @@ struct PrefixFilterOptions {
 //   static FilterType Create(uint64_t n_prime, uint64_t seed);
 //   static const char* Name();
 // where FilterType supports Insert(uint64_t) -> bool, Contains(uint64_t)
-// const -> bool, Prefetch(uint64_t) const, and SpaceBytes() const.
-// Prefetch(key) prefetches every line Contains(key) may read (e.g. both
-// candidate bins of a two-choice table) and nothing else; the batch path
-// calls it on spare-bound keys before resolving them.
+// const -> bool, SpaceBytes() const, and the batch probe contract:
+//   using Probe = ...;                    // a located key
+//   Probe Locate(uint64_t key) const;     // hashes the key, once
+//   void Prefetch(const Probe&) const;
+//   bool Contains(const Probe&) const;    // == Contains(key)
+// Prefetch(p) prefetches every line Contains(p) may read (e.g. both
+// candidate bins of a two-choice table) and nothing else.  The batch path
+// locates a spare-bound key once, prefetches it, and tests the same Probe
+// later, so the key is hashed and its bins derived only once.  A spare
+// whose probe needs no hashing can make Probe the key itself (BBF, CF12).
 // Create() applies the §7.1.1 failure-avoidance sizing for that spare type.
 template <typename SpareTraits>
 class PrefixFilter {
@@ -109,9 +118,18 @@ class PrefixFilter {
   // measured within run-to-run spread on a ~190 MB table.  Keys apply in
   // input order, so the result equals an Insert() loop's (file comment).
   uint64_t InsertBatch(const uint64_t* keys, size_t count) {
+    return InsertIndexed(keys, IdentityIndex{}, count);
+  }
+
+  // InsertBatch over the keys at positions index[0..count) of `keys`,
+  // applied in list order (a sharded filter passes one shard's ascending
+  // positions of a routed batch).  InsertBatch is the identity-index case.
+  template <typename Index>
+  uint64_t InsertIndexed(const uint64_t* keys, const Index& index,
+                         size_t count) {
     uint64_t failures = 0;
     RunPrefetchPipeline(
-        keys, count, hash_,
+        keys, index, count, hash_,
         [this](uint64_t h) {
           PrefetchLineForWrite(&bins_[HashParts::Bin(h, num_bins_)]);
         },
@@ -160,21 +178,39 @@ class PrefixFilter {
   // from 35.8 to 22.2 and the service sync rung from 35.9 to 23.5.  On an
   // all-negative stream, where the paper's v_r == 0 jump was always
   // predicted, the extra header work costs a few cycles instead.
+  // A queued key is located in the spare once (Spare::Locate), and the
+  // prefetch and the test both use that Probe.
   // Answers and stats() totals equal those of a Contains() loop.
   void ContainsBatch(const uint64_t* keys, size_t count, uint8_t* out) const {
+    ContainsIndexed(keys, IdentityIndex{}, count, out);
+  }
+
+  // ContainsBatch over the keys at positions index[0..count) of `keys`:
+  // out[index[j]] answers keys[index[j]], and no other byte of `out` is
+  // written.  Returns the number of hits.  ContainsBatch is the
+  // identity-index case; a sharded filter passes one shard's positions of a
+  // routed batch, so answers land in the caller's order with no copy.
+  template <typename Index>
+  uint64_t ContainsIndexed(const uint64_t* keys, const Index& index,
+                           size_t count, uint8_t* out) const {
     stats_.queries += count;
-    uint64_t spare_keys[kSpareQueueSize];
+    typename Spare::Probe spare_probes[kSpareQueueSize];
     size_t spare_slots[kSpareQueueSize];
     size_t queued = 0;
+    uint64_t hits = 0;
     const auto resolve_spare_queue = [&] {
       for (size_t j = 0; j < queued; ++j) {
-        out[spare_slots[j]] = spare_.Contains(spare_keys[j]) ? 1 : 0;
+        // Overwrites a bin answer of 0: a spare-bound fingerprint exceeds
+        // every fingerprint its bin holds.
+        const uint8_t hit = spare_.Contains(spare_probes[j]) ? 1 : 0;
+        out[spare_slots[j]] = hit;
+        hits += hit;
       }
       stats_.spare_queries += queued;
       queued = 0;
     };
     RunPrefetchPipeline(
-        keys, count, hash_,
+        keys, index, count, hash_,
         [this](uint64_t h) {
           PrefetchLine(&bins_[HashParts::Bin(h, num_bins_)]);
         },
@@ -186,15 +222,18 @@ class PrefixFilter {
           const uint16_t fp = MiniFp(q, r);
           // Written before the enqueue below: the key that fills the queue
           // must have its bin answer in place before the queue overwrites it.
-          out[i] = bin.Find(q, r) ? 1 : 0;
+          const uint8_t hit = bin.Find(q, r) ? 1 : 0;
+          out[i] = hit;
+          hits += hit;
           if (fp > bin.SpareCutoff()) {
-            spare_keys[queued] = SpareKey(b, fp);
+            spare_probes[queued] = spare_.Locate(SpareKey(b, fp));
             spare_slots[queued] = i;
-            spare_.Prefetch(spare_keys[queued]);
+            spare_.Prefetch(spare_probes[queued]);
             if (++queued == kSpareQueueSize) resolve_spare_queue();
           }
         });
     resolve_spare_queue();
+    return hits;
   }
 
   uint64_t size() const { return stats_.inserts; }

@@ -86,6 +86,11 @@ class BlockedBloomFilter {
     }
   }
 
+  // The spare batch contract of the prefix filter (SpareTraits): the probe
+  // of a key is the key itself, since a BBF probe is one block.
+  using Probe = uint64_t;
+  Probe Locate(uint64_t key) const { return key; }
+
   // Prefetches the line Contains(key) will read: the key's block.  The prefix
   // filter calls this on a spare-bound key well before it resolves it.
   void Prefetch(uint64_t key) const {

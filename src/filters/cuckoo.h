@@ -109,6 +109,11 @@ class CuckooFilter {
            (victim_index_ == i1 || victim_index_ == i2);
   }
 
+  // The spare batch contract of the prefix filter (SpareTraits): the probe
+  // of a key is the key itself.
+  using Probe = uint64_t;
+  Probe Locate(uint64_t key) const { return key; }
+
   // Prefetches the lines Contains(key) may read: both candidate buckets.  The
   // prefix filter calls this on a spare-bound key well before it resolves
   // it.

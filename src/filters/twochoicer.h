@@ -68,26 +68,36 @@ class TwoChoicer {
     return true;
   }
 
-  bool Contains(uint64_t key) const {
-    const uint64_t h = hash_(key);
-    uint64_t b1, b2;
+  // A key's two candidate bins and mini-fingerprint, hashed once.  The
+  // prefix filter locates a spare-bound key, prefetches its bins and tests
+  // it later from the same Probe, so the key is not hashed twice.
+  struct Probe {
+    uint64_t b1;
+    uint64_t b2;
     int q;
     uint8_t r;
-    Fingerprint(h, &b1, &b2, &q, &r);
-    return bins_[b1].Find(q, r) || bins_[b2].Find(q, r);
+  };
+
+  Probe Locate(uint64_t key) const {
+    Probe p;
+    Fingerprint(hash_(key), &p.b1, &p.b2, &p.q, &p.r);
+    return p;
   }
 
-  // Prefetches the lines Contains(key) may read: both candidate bins.  The
+  bool Contains(uint64_t key) const { return Contains(Locate(key)); }
+
+  // Tests both bins and ORs the answers: no short-circuit jump, whose
+  // outcome a mix of present and absent keys makes unpredictable.
+  bool Contains(const Probe& p) const {
+    return bins_[p.b1].Find(p.q, p.r) | bins_[p.b2].Find(p.q, p.r);
+  }
+
+  // Prefetches the lines Contains(p) reads: both candidate bins.  The
   // prefix filter calls this on a spare-bound key well before it resolves
   // it, so the two misses overlap instead of following one another.
-  void Prefetch(uint64_t key) const {
-    const uint64_t h = hash_(key);
-    uint64_t b1, b2;
-    int q;
-    uint8_t r;
-    Fingerprint(h, &b1, &b2, &q, &r);
-    PrefetchLine(&bins_[b1]);
-    PrefetchLine(&bins_[b2]);
+  void Prefetch(const Probe& p) const {
+    PrefetchLine(&bins_[p.b1]);
+    PrefetchLine(&bins_[p.b2]);
   }
 
   uint64_t size() const { return size_; }

@@ -13,9 +13,9 @@
 // Decode/filter decoupling: each loop is batch-first — all complete frames
 // buffered on a connection are decoded in one pass, and runs of consecutive
 // QUERY_BATCH frames are merged into ONE key batch, so a pipelining client's
-// traffic reaches BatchRouter as large cross-shard batches and keeps the
-// counting-sort shard-grouping win (§7 batch orientation) intact across the
-// network hop.  One rule decides where each merged batch runs: a batch of
+// traffic reaches BatchRouter as large cross-shard batches, which it probes
+// through per-shard index lists, 4096 keys at a time, with one lock per
+// shard group: the §7 batch orientation survives the network hop.  One rule decides where each merged batch runs: a batch of
 // fewer than kInlineQueryMaxKeys keys, on a connection with no batch in
 // flight, is probed inline on the loop thread via QueryBatchSync — the probe
 // costs far less than the pool handoff it would otherwise pay.  Any other

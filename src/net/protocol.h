@@ -3,8 +3,9 @@
 // The service speaks a length-prefixed binary protocol over TCP, designed
 // around the same batch orientation the paper's evaluation uses (§7.3): a
 // client ships whole key batches per frame and the server answers each frame
-// with one response frame, so a pipelined connection keeps large shard-
-// grouped batches flowing into BatchRouter (src/service/batch_router.h).
+// with one response frame, so a pipelined connection keeps large batches
+// flowing into BatchRouter (src/service/batch_router.h), which probes each
+// shard's keys in place through an index list under one lock.
 //
 // Frame layout (fixed 24-byte header, no varints; multi-byte fields are
 // host-endian via memcpy — little-endian on every target this library

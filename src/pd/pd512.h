@@ -13,6 +13,14 @@
 // body slot, stores the remainder and writes both header words in a single
 // in-register store.  TwoChoicer never evicts, so PD512 has no max-element
 // machinery.
+//
+// Query: on BMI2 builds Find has no data-dependent branch, as PD256::Find:
+// list q's body range comes from two PDEP selects whose word is picked by a
+// mask rather than a jump (Select128Branchless), and the answer is whether
+// the body match mask v_r has a 1 in that range.  On a random mix of
+// present and absent keys the paper's v_r == 0 jump mispredicts about half
+// the time.  Builds without BMI2 keep the branching body (FindBranching),
+// where each select is a broadword sequence rather than one PDEP.
 #ifndef PREFIXFILTER_SRC_PD_PD512_H_
 #define PREFIXFILTER_SRC_PD_PD512_H_
 
@@ -38,6 +46,28 @@ class alignas(64) PD512 {
 
   // Membership test for (q, r); q in [0, 80), r in [0, 256).
   bool Find(int q, uint8_t r) const {
+#if PF_HAVE_BMI2
+    const uint64_t v = FindByteMask64(bytes_, r) >> kBodyOffset;
+    const Bits128 header = Header();
+    const Bits128 terminators{~header.lo, ~header.hi};
+    // Bit p of `starts` is terminator bit p - 1, and the injected bit 0
+    // makes list 0 start at 0 with no q == 0 case: list q's body range is
+    // [begin, end), from the q-th set bits of `starts` and `terminators`.
+    const Bits128 starts{(terminators.lo << 1) | 1,
+                         (terminators.hi << 1) | (terminators.lo >> 63)};
+    // Both selects exist and land at rank < 64 in their word: ~header has
+    // 128 - t >= 80 set bits, at least 16 of them in the low word.
+    const int begin = Select128Branchless(starts, q) - q;
+    const int end = Select128Branchless(terminators, q) - q;
+    return (LowBits64(v, end) >> begin) != 0;
+#else
+    return FindBranching(q, r);
+#endif
+  }
+
+  // The paper's query: branches on v_r (no match, one match, several).
+  // Find on builds without BMI2, and its reference in tests.
+  bool FindBranching(int q, uint8_t r) const {
     const uint64_t v = FindByteMask64(bytes_, r) >> kBodyOffset;
     if (v == 0) return false;
     const Bits128 header = Header();

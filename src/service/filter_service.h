@@ -6,10 +6,12 @@
 // caller (InsertBatchSync, QueryBatchSync); a caller that must not wait on
 // the probe (the network event loop) hands a query batch to a fixed pool of
 // workers with QueryBatchAsync and gets the answers through a callback.  Every
-// batch goes through ShardedFilter's thread-local BatchRouter, so it pays one
-// lock acquisition per touched shard and rides the prefetching ContainsBatch
-// path inside each shard.  The shard locks are the only locks a batch takes:
-// the service adds none of its own around the filter.
+// batch goes through ShardedFilter's thread-local BatchRouter (fixed ~24 KB
+// scratch), so it pays one lock acquisition per touched shard per 4096-key
+// chunk and rides the prefetching batch path inside each shard, which reads
+// the shard's keys and writes their answers in place through an index list.
+// The shard locks are the only locks a batch takes: the service adds none
+// of its own around the filter.
 //
 // The request queue has no bound of its own and QueryBatchAsync never waits,
 // so an event loop never blocks on the pool; the submitter bounds what it

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <utility>
 
 #include "src/obs/trace.h"
@@ -13,7 +14,6 @@
 namespace prefixfilter {
 namespace {
 
-constexpr uint32_t kMaxShards = 1 << 12;
 // Bound on constructor/snapshot capacities so the per-shard capacity math
 // stays inside the exactly-representable double range (the double->uint64
 // cast in PerShardCapacity is undefined past 2^64; crafted snapshot fields
@@ -23,9 +23,6 @@ constexpr uint64_t kMaxCapacity = uint64_t{1} << 48;
 //   n/N + kHeadroomStddevs * sqrt(n * (1/N) * (1 - 1/N)) + 16.
 constexpr double kHeadroomStddevs = 4.0;
 constexpr uint8_t kSnapshotVersion = 2;
-// Keys an InsertJob groups at a time: one 4096-key batch, the unit perfbench
-// and the load generators send.
-constexpr size_t kInsertChunkKeys = 4096;
 // Name() is "SHARD<n>" followed by this.
 constexpr char kShardSuffix[] = "[PF[TC]]";
 
@@ -39,11 +36,13 @@ uint64_t PerShardCapacity(uint64_t capacity, uint32_t num_shards) {
 }
 
 // One router per thread, shared by the batch query and insert paths (its
-// scratch grows to the largest batch seen; two independent thread_locals
-// would double that footprint on threads doing both).
+// scratch is fixed, about 24 KB; see batch_router.h).  Allocated on the
+// thread's first routed batch: a thread_local BatchRouter would sit in the
+// static TLS block that every thread of the process zeroes at start.
 BatchRouter& ThreadLocalRouter() {
-  thread_local BatchRouter router;
-  return router;
+  thread_local const std::unique_ptr<BatchRouter> router =
+      std::make_unique<BatchRouter>();
+  return *router;
 }
 
 }  // namespace
@@ -135,16 +134,24 @@ void ShardedFilter::ContainsBatch(const uint64_t* keys, size_t count,
   // passes are pure overhead — drain the batch straight through the shard's
   // prefetching ContainsBatch under one lock.
   if (shard_bits_ == 0) {
-    QueryShard(0, keys, count, out);
+    QueryShardIndexed(0, keys, IdentityIndex{}, count, out);
     return;
   }
-  // Reusable per-thread scratch: callers hammering the batch path (service
-  // workers, benches) pay no per-call allocations after warm-up.
+  // Per-thread fixed scratch: callers hammering the batch path (service
+  // workers, benches) pay no per-call allocations.
   ThreadLocalRouter().Route(*this, keys, count, out);
 }
 
 void ShardedFilter::QueryShard(uint32_t shard_index, const uint64_t* keys,
-                               size_t count, uint8_t* out) const {
+                               const uint16_t* index, size_t count,
+                               uint8_t* out) const {
+  QueryShardIndexed(shard_index, keys, index, count, out);
+}
+
+template <typename Index>
+void ShardedFilter::QueryShardIndexed(uint32_t shard_index,
+                                      const uint64_t* keys, const Index& index,
+                                      size_t count, uint8_t* out) const {
   // Traced requests record one span per shard group probed, including the
   // wait for the shard lock (lock contention is exactly what a slow-request
   // timeline needs to show).  Picked up through the thread-local so the
@@ -154,11 +161,8 @@ void ShardedFilter::QueryShard(uint32_t shard_index, const uint64_t* keys,
   {
     Shard& shard = *shards_[shard_index];
     MutexLock guard(shard.mutex);
-    shard.filter.ContainsBatch(keys, count, out);
     shard.stats.queries += count;
-    uint64_t hits = 0;
-    for (size_t i = 0; i < count; ++i) hits += out[i];
-    shard.stats.hits += hits;
+    shard.stats.hits += shard.filter.ContainsIndexed(keys, index, count, out);
   }
   if (trace != nullptr) {
     trace->AddSpan(obs::TraceStage::kShardProbe, probe_start_ns,
@@ -169,11 +173,12 @@ void ShardedFilter::QueryShard(uint32_t shard_index, const uint64_t* keys,
 }
 
 uint64_t ShardedFilter::InsertShard(uint32_t shard_index,
-                                    const uint64_t* keys, size_t count) {
+                                    const uint64_t* keys,
+                                    const uint16_t* index, size_t count) {
   Shard& shard = *shards_[shard_index];
   MutexLock guard(shard.mutex);
   shard.stats.inserts += count;
-  const uint64_t failures = shard.filter.InsertBatch(keys, count);
+  const uint64_t failures = shard.filter.InsertIndexed(keys, index, count);
   shard.stats.insert_failures += failures;
   return failures;
 }
@@ -183,44 +188,41 @@ void ShardedFilter::StartInsert(const uint64_t* keys, size_t count,
   job->keys_ = keys;
   job->count_ = count;
   job->next_key_ = 0;
-  job->grouped_.clear();
+  job->chunk_ = nullptr;
   job->groups_.clear();
   job->next_group_ = 0;
-  job->next_grouped_ = 0;
+  job->next_indexed_ = 0;
   job->failures_ = 0;
 }
 
 bool ShardedFilter::InsertSlice(InsertJob* job, size_t budget) {
   while (budget > 0 && !job->done()) {
     if (job->next_group_ == job->groups_.size()) {
-      const uint64_t* chunk = job->keys_ + job->next_key_;
-      const size_t n = std::min(kInsertChunkKeys, job->count_ - job->next_key_);
+      job->chunk_ = job->keys_ + job->next_key_;
+      const size_t n = std::min(kRouteChunkKeys, job->count_ - job->next_key_);
       job->next_key_ += n;
-      job->grouped_.clear();
+      job->index_.resize(n);
       job->groups_.clear();
       job->next_group_ = 0;
-      job->next_grouped_ = 0;
-      // Mirrors the ContainsBatch single-shard fast path: nothing to group.
-      if (shard_bits_ == 0) {
-        job->grouped_.assign(chunk, chunk + n);
-        job->groups_.push_back({0, n});
-      } else {
-        ThreadLocalRouter().GroupByShard(
-            *this, chunk, n,
-            [job](uint32_t shard, const uint64_t* group, size_t group_n) {
-              job->grouped_.insert(job->grouped_.end(), group,
-                                   group + group_n);
-              job->groups_.push_back({shard, job->grouped_.size()});
-            });
-      }
+      job->next_indexed_ = 0;
+      uint16_t* index = job->index_.data();
+      ThreadLocalRouter().GroupChunk(
+          *this, job->chunk_, n, index,
+          [job, index](uint32_t shard, const uint16_t* shard_index,
+                       size_t shard_count) {
+            job->groups_.push_back(
+                {shard,
+                 static_cast<size_t>(shard_index - index) + shard_count});
+          });
     }
     const InsertJob::Group& group = job->groups_[job->next_group_];
-    const size_t n = std::min(budget, group.end - job->next_grouped_);
-    job->failures_ += InsertShard(
-        group.shard, job->grouped_.data() + job->next_grouped_, n);
-    job->next_grouped_ += n;
+    const size_t n = std::min(budget, group.end - job->next_indexed_);
+    job->failures_ +=
+        InsertShard(group.shard, job->chunk_,
+                    job->index_.data() + job->next_indexed_, n);
+    job->next_indexed_ += n;
     budget -= n;
-    if (job->next_grouped_ == group.end) ++job->next_group_;
+    if (job->next_indexed_ == group.end) ++job->next_group_;
   }
   return job->done();
 }

@@ -57,6 +57,12 @@ class ShardedFilter final : public AnyFilter {
  public:
   using ShardFilter = PrefixFilter<SpareTcTraits>;
 
+  static constexpr uint32_t kMaxShards = 1 << 12;
+  // Keys BatchRouter and InsertJob group at a time: one 4096-key batch, the
+  // unit perfbench and the load generators send.  Positions within a chunk
+  // fit in the uint16_t index lists the shards are probed through.
+  static constexpr size_t kRouteChunkKeys = 4096;
+
   // Builds an empty sharded filter for up to `capacity` keys (at most 2^48)
   // over options.num_shards (1..4096) shards.  Returns nullptr on
   // out-of-range arguments.
@@ -77,11 +83,12 @@ class ShardedFilter final : public AnyFilter {
 
   bool Insert(uint64_t key) override;
   bool Contains(uint64_t key) const override;
-  // Cross-shard batches route through BatchRouter so each shard group drains
-  // through the shard's prefetching batch path (one lock + one pass per
-  // shard instead of one lock per key).  Fast paths skip the grouping
-  // machinery entirely for 1-key batches (inline route-on-query) and for
-  // single-shard filters (everything is one group by construction).
+  // Cross-shard batches route through BatchRouter so each shard group of a
+  // 4096-key chunk drains through the shard's prefetching batch path (one
+  // lock + one pass per shard group instead of one lock per key).  Fast
+  // paths skip the grouping machinery entirely for 1-key batches (inline
+  // route-on-query) and for single-shard filters (everything is one group
+  // by construction).
   void ContainsBatch(const uint64_t* keys, size_t count,
                      uint8_t* out) const override;
   // Serializes one shard at a time under that shard's lock, so the image
@@ -104,21 +111,27 @@ class ShardedFilter final : public AnyFilter {
                                        (64 - shard_bits_));
   }
 
-  // Batch operations against one shard; each takes the shard lock once.
-  // Keys must all map to `shard` (BatchRouter guarantees this).
-  void QueryShard(uint32_t shard, const uint64_t* keys, size_t count,
-                  uint8_t* out) const;
+  // Batch operations against one shard through an index list; each takes
+  // the shard lock once.  The keys at positions index[0..count) of `keys`
+  // must all map to `shard` (BatchRouter guarantees this), and a shard
+  // sees them in list order.  QueryShard writes out[index[j]] for each j
+  // and no other byte of `out`, and adds count queries and the hits to the
+  // shard's stats.
+  void QueryShard(uint32_t shard, const uint64_t* keys, const uint16_t* index,
+                  size_t count, uint8_t* out) const;
   // Returns the number of failed inserts.
-  uint64_t InsertShard(uint32_t shard, const uint64_t* keys, size_t count);
+  uint64_t InsertShard(uint32_t shard, const uint64_t* keys,
+                       const uint16_t* index, size_t count);
 
   // A grouped insert that can be applied in slices.  Each InsertSlice call
   // applies up to `budget` more keys through InsertShard.  The batch is
-  // grouped by shard (BatchRouter::GroupByShard) 4096 keys at a time, into
-  // the job's own buffer, so no call does work proportional to the whole
-  // batch; a shard group larger than the budget is split across calls.
-  // Keys reach each shard in input order, as in a whole-batch grouping, and
-  // PrefixFilter applies a batch in input order, so a sliced batch leaves
-  // the filter exactly as an unsliced one.
+  // grouped by shard (BatchRouter::GroupChunk) kRouteChunkKeys keys at a
+  // time, into the job's own index list, so no call does work proportional
+  // to the whole batch; a shard group larger than the budget is split
+  // across calls.  Positions ascend within a shard, so keys reach each
+  // shard in input order, as in a whole-batch grouping, and PrefixFilter
+  // applies a batch in list order, so a sliced batch leaves the filter
+  // exactly as an unsliced one.
   class InsertJob {
    public:
     bool done() const {
@@ -132,15 +145,16 @@ class ShardedFilter final : public AnyFilter {
     friend class ShardedFilter;
     struct Group {
       uint32_t shard;
-      size_t end;  // one past the group's last key in grouped_
+      size_t end;  // one past the group's last position in index_
     };
-    const uint64_t* keys_ = nullptr;  // the caller's batch, ungrouped
+    const uint64_t* keys_ = nullptr;  // the caller's batch
     size_t count_ = 0;
     size_t next_key_ = 0;  // first key of keys_ not yet grouped
-    std::vector<uint64_t> grouped_;  // the current chunk, grouped by shard
+    const uint64_t* chunk_ = nullptr;  // the chunk index_ lists positions of
+    std::vector<uint16_t> index_;  // the chunk's positions, grouped by shard
     std::vector<Group> groups_;
     size_t next_group_ = 0;
-    size_t next_grouped_ = 0;  // first key of grouped_ not yet applied
+    size_t next_indexed_ = 0;  // first position of index_ not yet applied
     uint64_t failures_ = 0;
   };
   // Resets `job` to insert keys[0..count); the keys must stay alive and
@@ -172,6 +186,11 @@ class ShardedFilter final : public AnyFilter {
  private:
   // `num_shards` is a power of two; the shards are added by the caller.
   ShardedFilter(uint64_t capacity, uint32_t num_shards, uint64_t seed);
+
+  // QueryShard over any index list (IdentityIndex on the single-shard path).
+  template <typename Index>
+  void QueryShardIndexed(uint32_t shard, const uint64_t* keys,
+                         const Index& index, size_t count, uint8_t* out) const;
 
   struct Shard {
     explicit Shard(ShardFilter f) : filter(std::move(f)) {}

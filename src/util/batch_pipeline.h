@@ -36,31 +36,42 @@ inline void PrefetchLine(const void* p) { __builtin_prefetch(p, 0, 3); }
 // does not pay a second coherence round trip.
 inline void PrefetchLineForWrite(void* p) { __builtin_prefetch(p, 1, 3); }
 
-// Runs keys[0..count) through the pipeline.  hash(key) -> uint64_t is called
-// once per key, ahead of time; prefetch(h) prefetches the lines resolve
-// will touch; resolve(i, h) answers or applies key i from its hash.
-// resolve is called in index order.
-template <typename Hash, typename Prefetch, typename Resolve>
-inline void RunPrefetchPipeline(const uint64_t* keys, size_t count,
-                                const Hash& hash, const Prefetch& prefetch,
+// The positions 0, 1, 2, ... of a whole batch: the index list of a batch
+// run in its own order.
+struct IdentityIndex {
+  size_t operator[](size_t j) const { return j; }
+};
+
+// Runs keys[index[0]], ..., keys[index[count - 1]] through the pipeline.
+// `index` is IdentityIndex for a whole batch, or a list of key positions
+// (such as one shard's keys of a routed batch).  hash(key) -> uint64_t is
+// called once per key, ahead of time; prefetch(h) prefetches the lines
+// resolve will touch; resolve(i, h) answers or applies the key at position
+// i = index[j] from its hash.  resolve is called in list order.
+template <typename Index, typename Hash, typename Prefetch, typename Resolve>
+inline void RunPrefetchPipeline(const uint64_t* keys, const Index& index,
+                                size_t count, const Hash& hash,
+                                const Prefetch& prefetch,
                                 const Resolve& resolve) {
   constexpr size_t kDistance = kBatchPrefetchDistance;
   static_assert((kDistance & (kDistance - 1)) == 0, "power of two");
   uint64_t ring[kDistance];
   const size_t head = std::min(kDistance, count);
-  for (size_t i = 0; i < head; ++i) {
-    ring[i] = hash(keys[i]);
-    prefetch(ring[i]);
+  for (size_t j = 0; j < head; ++j) {
+    ring[j] = hash(keys[index[j]]);
+    prefetch(ring[j]);
   }
-  size_t i = 0;
-  for (; i + kDistance < count; ++i) {
-    uint64_t& slot = ring[i & (kDistance - 1)];
+  size_t j = 0;
+  for (; j + kDistance < count; ++j) {
+    uint64_t& slot = ring[j & (kDistance - 1)];
     const uint64_t h = slot;
-    slot = hash(keys[i + kDistance]);
+    slot = hash(keys[index[j + kDistance]]);
     prefetch(slot);
-    resolve(i, h);
+    resolve(static_cast<size_t>(index[j]), h);
   }
-  for (; i < count; ++i) resolve(i, ring[i & (kDistance - 1)]);
+  for (; j < count; ++j) {
+    resolve(static_cast<size_t>(index[j]), ring[j & (kDistance - 1)]);
+  }
 }
 
 }  // namespace prefixfilter

@@ -164,6 +164,19 @@ inline int Select128(Bits128 x, int j) {
   return s == 64 ? 128 : 64 + s;
 }
 
+// Select128 without a branch on the word: the j-th set bit's word, its rank
+// within it and the word's base are picked with an all-ones-or-zero mask
+// (GCC turns a ternary pick into a jump here).  Requires the bit to exist,
+// j < PopCount128(x), at rank < 64 in its word, which holds whenever
+// j < 64 + PopCount64(x.lo).
+inline int Select128Branchless(Bits128 x, int j) {
+  const int lo_count = PopCount64(x.lo);
+  const int in_hi = -static_cast<int>(j >= lo_count);  // 0 or all ones
+  const uint64_t hi_mask = static_cast<uint64_t>(static_cast<int64_t>(in_hi));
+  const uint64_t word = x.lo ^ ((x.lo ^ x.hi) & hi_mask);
+  return (64 & in_hi) + Select64(word, j - (lo_count & in_hi));
+}
+
 // Inserts a 0-bit at `pos`, shifting everything above up by one; bit 127 is
 // discarded.
 inline Bits128 InsertZeroBit128(Bits128 x, int pos) {

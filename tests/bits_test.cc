@@ -1,5 +1,6 @@
 #include "src/util/bits.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -170,6 +171,30 @@ TEST(Bits128, RankSelectConsistent) {
       EXPECT_TRUE(GetBit128(x, pos));
     }
     EXPECT_EQ(Select128(x, ones), 128);
+  }
+}
+
+// PD512::Find's select: equal to Select128 wherever its precondition holds
+// (the bit exists at rank < 64 in its word), including j == PopCount64(lo),
+// the first bit of the high word.
+TEST(Bits128, SelectBranchlessMatchesSelect) {
+  Xoshiro256 rng(5);
+  for (int trial = 0; trial < 2000; ++trial) {
+    // Sparse, dense and mixed words, so the low word's count spans 0..64.
+    const uint64_t density = rng.Below(4);
+    const auto word = [&] {
+      uint64_t w = rng.Next();
+      if (density == 0) w &= rng.Next() & rng.Next();
+      if (density == 1) w |= rng.Next() | rng.Next();
+      return w;
+    };
+    const Bits128 x{word(), word()};
+    const int ones = PopCount128(x);
+    const int limit = std::min(ones, 64 + PopCount64(x.lo));
+    for (int j = 0; j < limit; ++j) {
+      ASSERT_EQ(Select128Branchless(x, j), Select128(x, j))
+          << std::hex << x.lo << " " << x.hi << std::dec << " j " << j;
+    }
   }
 }
 

@@ -3,6 +3,10 @@
 
 #include <cstring>
 #include <set>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -112,6 +116,69 @@ TEST(PD512, DecodeGroupsByQuotient) {
     got.insert({decoded[i].first, decoded[i].second});
   }
   EXPECT_EQ(got, model);
+}
+
+// Every (q, r) on PDs built to hit the edges of the branch-free Find: list 0
+// (the injected low bit), list 79, a list whose elements straddle header
+// bits 63 and 64 (the select whose rank equals the low word's popcount, so
+// its word pick decides the answer), a full PD, and random fills.  Find (the
+// branch-free body on BMI2 builds) and the branching body must both agree
+// with the PD's Decode().
+TEST(PD512, FindExhaustiveOnStructuredPds) {
+  const uint8_t kAlphabet[] = {0, 1, 7, 128, 255};
+  const auto r_at = [&](int i) { return kAlphabet[i % 5]; };
+  std::vector<std::pair<std::string, PD512>> cases;
+  cases.emplace_back("empty", MakeEmptyPd());
+  {
+    PD512 pd = MakeEmptyPd();
+    for (int i = 0; i < PD512::kCapacity; ++i) pd.Insert(0, r_at(i));
+    cases.emplace_back("48 in list 0", pd);
+  }
+  {
+    PD512 pd = MakeEmptyPd();
+    for (int i = 0; i < PD512::kCapacity; ++i) pd.Insert(79, r_at(i));
+    cases.emplace_back("48 in list 79", pd);
+  }
+  // k elements in list 41 sit at header bits [41, 41 + k): with k >= 24 they
+  // cover bits 63 and 64, and list 41's terminator moves across the words.
+  for (const int k : {22, 23, 24, 25, 30}) {
+    PD512 pd = MakeEmptyPd();
+    for (int i = 0; i < k; ++i) pd.Insert(41, r_at(i));
+    pd.Insert(40, r_at(3));
+    pd.Insert(42, r_at(1));
+    pd.Insert(79, r_at(2));
+    std::ostringstream name;
+    name << k << " in list 41 across bits 63/64";
+    cases.emplace_back(name.str(), pd);
+  }
+  {
+    PD512 pd = MakeEmptyPd();  // one per list up to capacity, then full
+    for (int i = 0; i < PD512::kCapacity; ++i) pd.Insert(i * 79 / 47, r_at(i));
+    cases.emplace_back("full, spread", pd);
+  }
+  Xoshiro256 rng(43);
+  for (const int fill : {12, 36, PD512::kCapacity}) {
+    PD512 pd = MakeEmptyPd();
+    for (int i = 0; i < fill; ++i) {
+      pd.Insert(static_cast<int>(rng.Below(PD512::kNumLists)), r_at(i));
+    }
+    std::ostringstream name;
+    name << "random fill " << fill;
+    cases.emplace_back(name.str(), pd);
+  }
+  for (const auto& [name, pd] : cases) {
+    std::set<std::pair<int, int>> present;
+    for (const auto& [q, r] : pd.Decode()) present.insert({q, r});
+    for (int q = 0; q < PD512::kNumLists; ++q) {
+      for (int r = 0; r < 256; ++r) {
+        const bool expected = present.count({q, r}) != 0;
+        ASSERT_EQ(pd.Find(q, static_cast<uint8_t>(r)), expected)
+            << name << ": Find(" << q << ", " << r << ")";
+        ASSERT_EQ(pd.FindBranching(q, static_cast<uint8_t>(r)), expected)
+            << name << ": FindBranching(" << q << ", " << r << ")";
+      }
+    }
+  }
 }
 
 TEST(PD512, SizeOfStructIs64Bytes) {

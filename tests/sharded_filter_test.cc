@@ -348,6 +348,82 @@ TEST(ShardedFilter, FastPathsAgreeWithRoutedPathAndKeepStats) {
   EXPECT_EQ(sharded2->TotalStats().inserts, 1u);
 }
 
+// BatchRouter probes each shard through index lists of at most 4096 keys
+// and writes answers in place.  At every chunk edge the routed answers and
+// per-shard stats must equal a Contains loop's, and no byte past out[count)
+// may be written.  SHARD1 takes the single-shard fast path instead.
+TEST(ShardedFilter, RoutedBatchesMatchScalarLoopAtChunkEdges) {
+  const uint64_t n = 60000;
+  const auto keys = RandomKeys(n, 341);
+  std::vector<uint64_t> stream = RandomKeys(size_t{1} << 20, 342);
+  for (size_t i = 0; i < stream.size(); i += 2) stream[i] = keys[i % n];
+  for (const uint32_t num_shards : {16u, 1u}) {
+    auto filter = MakeSharded(n, num_shards, 343);
+    ASSERT_NE(filter, nullptr);
+    ASSERT_EQ(filter->InsertBatch(keys.data(), keys.size()), 0u);
+    const auto stats_now = [&] {
+      std::vector<ShardStats> all;
+      for (uint32_t s = 0; s < filter->num_shards(); ++s) {
+        all.push_back(filter->shard_stats(s));
+      }
+      return all;
+    };
+    for (const size_t count :
+         {size_t{0}, size_t{1}, size_t{2}, size_t{4095}, size_t{4096},
+          size_t{4097}, size_t{3 * 4096 + 1}, size_t{1} << 20}) {
+      SCOPED_TRACE(testing::Message() << "SHARD" << num_shards << " count "
+                                      << count);
+      std::vector<uint8_t> out(count + 1, 0xa5);
+      const auto before = stats_now();
+      filter->ContainsBatch(stream.data(), count, out.data());
+      const auto routed = stats_now();
+      EXPECT_EQ(out[count], 0xa5) << "sentinel overwritten";
+      for (size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(out[i], filter->Contains(stream[i]) ? 1 : 0) << "index " << i;
+      }
+      const auto looped = stats_now();
+      for (uint32_t s = 0; s < filter->num_shards(); ++s) {
+        EXPECT_EQ(routed[s].queries - before[s].queries,
+                  looped[s].queries - routed[s].queries)
+            << "shard " << s;
+        EXPECT_EQ(routed[s].hits - before[s].hits,
+                  looped[s].hits - routed[s].hits)
+            << "shard " << s;
+      }
+    }
+  }
+}
+
+// InsertSlice applies a grouped chunk's index lists a budget at a time; any
+// budget, including ones that split shard groups and chunks, must leave the
+// filter byte-identical to one unsliced InsertBatch.
+TEST(ShardedFilter, InsertSliceBudgetsSerializeLikeOneInsertBatch) {
+  const auto keys = RandomKeys(3 * 4096 + 7, 344);
+  for (const uint32_t num_shards : {16u, 1u}) {
+    auto whole = MakeSharded(keys.size(), num_shards, 345);
+    ASSERT_NE(whole, nullptr);
+    ASSERT_EQ(whole->InsertBatch(keys.data(), keys.size()), 0u);
+    std::vector<uint8_t> whole_bytes;
+    ASSERT_TRUE(whole->SerializeTo(&whole_bytes));
+    for (const size_t budget :
+         {size_t{1}, size_t{255}, size_t{256}, size_t{4097}}) {
+      auto sliced = MakeSharded(keys.size(), num_shards, 345);
+      ASSERT_NE(sliced, nullptr);
+      ShardedFilter::InsertJob job;
+      ShardedFilter::StartInsert(keys.data(), keys.size(), &job);
+      size_t calls = 0;
+      while (!sliced->InsertSlice(&job, budget)) ++calls;
+      EXPECT_EQ(calls + 1, (keys.size() + budget - 1) / budget)
+          << "budget " << budget;
+      EXPECT_EQ(job.failures(), 0u);
+      std::vector<uint8_t> sliced_bytes;
+      ASSERT_TRUE(sliced->SerializeTo(&sliced_bytes));
+      EXPECT_TRUE(sliced_bytes == whole_bytes)
+          << "SHARD" << num_shards << " budget " << budget;
+    }
+  }
+}
+
 // Regression for a lock-discipline gap the thread-safety annotations
 // surfaced: SpaceBytes() walked shard->filter (a guarded member) without
 // the shard locks.  Today that read is geometry-only, so this test pins

@@ -51,6 +51,35 @@ TEST(Spare, EachSpareAbsorbsNPrimeKeys) {
   }
 }
 
+// The prefix filter's batch path tests a spare-bound key through the Probe
+// it located once; that must answer exactly as Contains(key) does.
+template <typename Traits>
+void ExpectLocatedProbeMatchesContains(uint64_t seed) {
+  const uint64_t n_prime = 20000;
+  auto f = Traits::Create(n_prime, seed);
+  const auto keys = RandomKeys(n_prime, seed + 1);
+  for (uint64_t k : keys) ASSERT_TRUE(f.Insert(k));
+  const auto absent = RandomKeys(200000, seed + 2);
+  uint64_t absent_hits = 0;
+  for (const auto* set : {&keys, &absent}) {
+    for (uint64_t k : *set) {
+      const auto probe = f.Locate(k);
+      f.Prefetch(probe);
+      const bool hit = f.Contains(probe);
+      ASSERT_EQ(hit, f.Contains(k)) << Traits::Name() << " key " << k;
+      if (set == &absent) absent_hits += hit;
+    }
+  }
+  // Some false positives among the absent keys, so both answers are covered.
+  EXPECT_GT(absent_hits, 0u) << Traits::Name();
+}
+
+TEST(Spare, LocatedProbeMatchesContains) {
+  ExpectLocatedProbeMatchesContains<SpareBbfTraits>(11);
+  ExpectLocatedProbeMatchesContains<SpareCf12Traits>(12);
+  ExpectLocatedProbeMatchesContains<SpareTcTraits>(13);
+}
+
 // §7.2's observation: PF space and FPR are nearly identical regardless of
 // the spare, because the spare holds only a ~1/sqrt(2*pi*k) fraction.
 TEST(Spare, SpareChoiceBarelyAffectsTotalSpace) {
