@@ -84,9 +84,19 @@ class TwoChoicer {
     return p;
   }
 
-  bool Contains(uint64_t key) const { return Contains(Locate(key)); }
+  // The paper's query: the branching bin test, second bin only on a miss.
+  // In a scalar loop the predicted branches let the core run ahead into the
+  // next keys' bin loads.  Over a 48 MB table (n = 2^25; Xeon, GCC 12) the
+  // branch-free Contains(Probe) ran 1.9x (present keys) to 2.6x (absent
+  // keys) slower in such a loop.
+  bool Contains(uint64_t key) const {
+    const Probe p = Locate(key);
+    return bins_[p.b1].FindBranching(p.q, p.r) ||
+           bins_[p.b2].FindBranching(p.q, p.r);
+  }
 
-  // Tests both bins and ORs the answers: no short-circuit jump, whose
+  // The prefix filter's batch test, after Prefetch(p) has loaded both bins:
+  // tests both and ORs the answers, with no short-circuit jump, whose
   // outcome a mix of present and absent keys makes unpredictable.
   bool Contains(const Probe& p) const {
     return bins_[p.b1].Find(p.q, p.r) | bins_[p.b2].Find(p.q, p.r);

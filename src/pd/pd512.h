@@ -66,7 +66,8 @@ class alignas(64) PD512 {
   }
 
   // The paper's query: branches on v_r (no match, one match, several).
-  // Find on builds without BMI2, and its reference in tests.
+  // Find on builds without BMI2, TwoChoicer's scalar Contains(key), and
+  // Find's reference in tests.
   bool FindBranching(int q, uint8_t r) const {
     const uint64_t v = FindByteMask64(bytes_, r) >> kBodyOffset;
     if (v == 0) return false;

@@ -168,7 +168,10 @@ inline int Select128(Bits128 x, int j) {
 // within it and the word's base are picked with an all-ones-or-zero mask
 // (GCC turns a ternary pick into a jump here).  Requires the bit to exist,
 // j < PopCount128(x), at rank < 64 in its word, which holds whenever
-// j < 64 + PopCount64(x.lo).
+// j < 64 + PopCount64(x.lo).  PD512::Find uses it, where a mixed stream makes
+// the word unpredictable.  PD512::Insert keeps the branching Select128: with
+// this body BM_PdInsert<PD512> ran 7-13% slower (medians of 10 and 12
+// alternating bench_micro_pd pairs, 1/10 and 1/12 won; Xeon, GCC 12).
 inline int Select128Branchless(Bits128 x, int j) {
   const int lo_count = PopCount64(x.lo);
   const int in_hi = -static_cast<int>(j >= lo_count);  // 0 or all ones
