@@ -1,13 +1,17 @@
 // Ablation: the PD query cutoff of §5.2.2.
 //
-// Compares three PD(25,8,25) query strategies on identical pocket
+// Compares four PD(25,8,25) query strategies on identical pocket
 // dictionaries:
-//   (1) the shipped query (SIMD cutoff, popcount single-candidate check,
-//       Select only on multi-match),
-//   (2) an always-Select decoder (what a "standard" PD implementation does:
+//   (1) the shipped query, PD256::Find: SIMD byte match, then one PDEP
+//       list-range read (RunMask64) with no branch on the match mask
+//       (FindBranching on builds without BMI2),
+//   (2) the paper's cutoff, PD256::FindBranching: SIMD byte match, no match
+//       ends the query, one match costs a POPCOUNT, several read list q's
+//       range,
+//   (3) an always-Select decoder (what a "standard" PD implementation does:
 //       two Selects to find the list, then a body scan), and
-//   (3) a scalar-comparison variant of (1) (no SIMD byte-match kernel),
-// and reports the distribution over cutoff paths (Claims 3 and 4).
+//   (4) a scalar-comparison variant of (2) (no SIMD byte-match kernel),
+// and reports the distribution over the cutoff's paths (Claims 3 and 4).
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -24,7 +28,7 @@ namespace {
 namespace bench = prefixfilter::bench;
 using prefixfilter::PD256;
 
-// Strategy (2): the standard Select-based PD search (paper §5.1), working on
+// Strategy (3): the standard Select-based PD search (paper §5.1), working on
 // the same in-memory PD256 layout.
 bool SelectBasedFind(const PD256& pd, int q, uint8_t r) {
   uint64_t header;
@@ -41,7 +45,7 @@ bool SelectBasedFind(const PD256& pd, int q, uint8_t r) {
   return false;
 }
 
-// Strategy (3): cutoff logic with a scalar byte-match kernel.
+// Strategy (4): the paper's cutoff with a scalar byte-match kernel.
 bool ScalarCutoffFind(const PD256& pd, int q, uint8_t r) {
   const uint32_t v = static_cast<uint32_t>(prefixfilter::FindByteMaskScalar(
                          pd.raw(), r, 32)) >>
@@ -50,17 +54,12 @@ bool ScalarCutoffFind(const PD256& pd, int q, uint8_t r) {
   uint64_t header;
   std::memcpy(&header, pd.raw(), 8);
   header &= (uint64_t{1} << 50) - 1;
+  const uint64_t w = static_cast<uint64_t>(v) << q;
   if ((v & (v - 1)) == 0) {
     const int i = prefixfilter::CountTrailingZeros64(v);
-    const uint64_t w = static_cast<uint64_t>(v) << q;
     return (header & w) != 0 && prefixfilter::PopCount64(header & (w - 1)) == i;
   }
-  const uint64_t terminators = ~header;
-  const int begin =
-      (q == 0) ? 0 : prefixfilter::Select64(terminators, q - 1) + 1 - q;
-  const int end = prefixfilter::Select64(terminators, q) - q;
-  return (v & static_cast<uint32_t>(prefixfilter::MaskRange64(begin, end))) !=
-         0;
+  return (w & prefixfilter::RunMask64(header, q)) != 0;
 }
 
 }  // namespace
@@ -124,8 +123,10 @@ int main(int argc, char** argv) {
     runner.Add(name, "full-pd-query", std::move(m));
   };
 
-  run("cutoff + SIMD (shipped)",
+  run("Find (shipped)",
       [](const PD256& pd, int q, uint8_t r) { return pd.Find(q, r); });
+  run("FindBranching (paper cutoff)",
+      [](const PD256& pd, int q, uint8_t r) { return pd.FindBranching(q, r); });
   run("always-Select (standard PD)", SelectBasedFind);
   run("cutoff + scalar kernel", ScalarCutoffFind);
 

@@ -43,7 +43,13 @@ std::vector<uint64_t> QueryStream(size_t count, uint64_t seed) {
   return workload::Generate(spec).queries;
 }
 
+// The query benches take the query body as a template argument: the shipped
+// Find, or FindBranching, the paper's branching body (which Find is on builds
+// without BMI2).
 template <typename PD>
+using QueryBody = bool (PD::*)(int, uint8_t) const;
+
+template <typename PD, QueryBody<PD> kQuery>
 void BM_PdNegativeQuery(benchmark::State& state) {
   AlignedBuffer<PD> pds(kNumPds);
   FillPds(pds, static_cast<int>(state.range(0)), 1);
@@ -54,12 +60,18 @@ void BM_PdNegativeQuery(benchmark::State& state) {
     const size_t pd = FastRange64(h, kNumPds);
     const int q = static_cast<int>(
         FastRange32(static_cast<uint32_t>(h >> 32), PD::kNumLists));
-    benchmark::DoNotOptimize(pds[pd].Find(q, static_cast<uint8_t>(h)));
+    benchmark::DoNotOptimize((pds[pd].*kQuery)(q, static_cast<uint8_t>(h)));
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK_TEMPLATE(BM_PdNegativeQuery, PD256)->Arg(12)->Arg(20)->Arg(25);
-BENCHMARK_TEMPLATE(BM_PdNegativeQuery, PD512)->Arg(24)->Arg(40)->Arg(48);
+BENCHMARK_TEMPLATE(BM_PdNegativeQuery, PD256, &PD256::Find)
+    ->Arg(12)->Arg(20)->Arg(25);
+BENCHMARK_TEMPLATE(BM_PdNegativeQuery, PD256, &PD256::FindBranching)
+    ->Arg(12)->Arg(20)->Arg(25);
+BENCHMARK_TEMPLATE(BM_PdNegativeQuery, PD512, &PD512::Find)
+    ->Arg(24)->Arg(40)->Arg(48);
+BENCHMARK_TEMPLATE(BM_PdNegativeQuery, PD512, &PD512::FindBranching)
+    ->Arg(24)->Arg(40)->Arg(48);
 
 // A PD query as a membership service sees it: half the (PD, q, r) probes
 // are stored elements and half uniform (absent w.o.p.), in random order.
@@ -95,7 +107,7 @@ std::vector<Probe> MixedStream(const AlignedBuffer<PD>& pds, size_t count,
   return stream;
 }
 
-template <typename PD>
+template <typename PD, QueryBody<PD> kQuery>
 void BM_PdMixedQuery(benchmark::State& state) {
   AlignedBuffer<PD> pds(kNumPds);
   FillPds(pds, static_cast<int>(state.range(0)), 1);
@@ -103,12 +115,18 @@ void BM_PdMixedQuery(benchmark::State& state) {
   size_t i = 0;
   for (auto _ : state) {
     const Probe& p = stream[i++ & 0xffff];
-    benchmark::DoNotOptimize(pds[p.pd].Find(p.q, p.r));
+    benchmark::DoNotOptimize((pds[p.pd].*kQuery)(p.q, p.r));
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK_TEMPLATE(BM_PdMixedQuery, PD256)->Arg(12)->Arg(20)->Arg(25);
-BENCHMARK_TEMPLATE(BM_PdMixedQuery, PD512)->Arg(24)->Arg(40)->Arg(48);
+BENCHMARK_TEMPLATE(BM_PdMixedQuery, PD256, &PD256::Find)
+    ->Arg(12)->Arg(20)->Arg(25);
+BENCHMARK_TEMPLATE(BM_PdMixedQuery, PD256, &PD256::FindBranching)
+    ->Arg(12)->Arg(20)->Arg(25);
+BENCHMARK_TEMPLATE(BM_PdMixedQuery, PD512, &PD512::Find)
+    ->Arg(24)->Arg(40)->Arg(48);
+BENCHMARK_TEMPLATE(BM_PdMixedQuery, PD512, &PD512::FindBranching)
+    ->Arg(24)->Arg(40)->Arg(48);
 
 // One dependent PD insert per iteration at low occupancy: the table resets
 // as soon as the first PD fills, so the PDs stay far from full.  It times

@@ -171,13 +171,14 @@ class PrefixFilter {
   // n = 0.94 * 2^27 (perfbench inproc-large, traced medians) this took the
   // ladder's core rung from 43.6 to 31.9 ns/key, its shard rung from 50.9
   // to 33.8 and its service sync rung from 51.9 to 39.0.  The bin test
-  // itself (PD256::Find) has no data-dependent branch on BMI2 builds, which
-  // matters on random mixes of present and absent keys: on perfbench
-  // wire-bulk's 50/50 stream (6 MB table, traced medians of three run
-  // pairs) it took the core rung from 26.2 to 19.0 ns/key, the shard rung
-  // from 35.8 to 22.2 and the service sync rung from 35.9 to 23.5.  On an
-  // all-negative stream, where the paper's v_r == 0 jump was always
-  // predicted, the extra header work costs a few cycles instead.
+  // itself (PD256::Find) reads list q's header bits with one PDEP and has
+  // no data-dependent branch on BMI2 builds, which matters on random mixes
+  // of present and absent keys: on perfbench wire-bulk's 50/50 stream (6 MB
+  // table, traced medians of three run pairs) it took the core rung from
+  // 26.2 to 19.0 ns/key, the shard rung from 35.8 to 22.2 and the service
+  // sync rung from 35.9 to 23.5.  On an all-negative stream, where the
+  // paper's v_r == 0 jump is always predicted, the branching body stays
+  // faster by 0.3-1.3 ns per probe (bench_micro_pd BM_PdNegativeQuery).
   // A queued key is located in the spare once (Spare::Locate), and the
   // prefetch and the test both use that Probe.
   // Answers and stats() totals equal those of a Contains() loop.

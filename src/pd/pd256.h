@@ -26,24 +26,23 @@
 // paper's query cutoff (Algorithm 3).
 //
 // Query (§5.2.2): a SIMD broadcast-compare over the whole 32-byte block
-// yields the body match bitvector v_r.  The paper's fast path branches on
-// it: v_r == 0 answers "No" (>90% of random negative queries, Claim 3), a
-// single set bit costs one POPCOUNT (>95% of the remainder, Claim 4), and
-// only multi-match queries fall back to Select.  Claims 3 and 4 still bound
-// how often each case occurs, and FindWithPath reports them, but with BMI2
-// Find does not branch on them.  On a stream that mixes present and absent
-// keys in random order (what a membership service sees) the v_r == 0 jump
-// is a coin flip, and its mispredictions cost more than the Selects it
-// skips.  So Find always computes list q's body range [begin, end) with two
-// PDEP-based Selects, with no jump, and tests whether v_r has a 1 in it.
-// The price is paid on all-negative streams, where the jump was always
-// predicted and the header work is now extra (BM_PdNegativeQuery).
-// This relies on a fast PDEP, as Select64 does (Intel, and AMD from Zen 3).
-// Builds without BMI2 keep the branching path (FindImpl): there Select64
-// is a broadword sequence of some 30 instructions, not one PDEP, and the
-// branch-free body made the PF and SHARD16 query rows of a PF_NATIVE=OFF
-// `bench_all --quick` 12-20% slower (geomean over workloads), gaining only
-// on mixed-50-50.
+// yields the body match bitvector v_r.  The paper's query (FindBranching)
+// branches on it: v_r == 0 answers "No" (>90% of random negative queries,
+// Claim 3), a single set bit costs one POPCOUNT (>95% of the remainder,
+// Claim 4), and only multi-match queries read list q's range; FindWithPath
+// reports which path a query takes.  On a stream that mixes present and
+// absent keys in random order (what a membership service sees) the
+// v_r == 0 jump is a coin flip.  So with BMI2, Find has no jump: one PDEP
+// (RunMask64) yields list q's header bits, and the answer is whether
+// v_r << q has a 1 among them.  In bench_micro_pd (medians of 12 runs,
+// Xeon, GCC 12) Find reads 2.7 ns against FindBranching's 9.1-9.5 on the
+// mixed stream (BM_PdMixedQuery), and 3.1 against 1.8-2.9 on an
+// all-negative one (BM_PdNegativeQuery), where the jump is always
+// predicted.  PDEP is fast on Intel, and on AMD from Zen 3.  Builds
+// without BMI2 use FindBranching as Find: there RunMask64 is two broadword
+// selects, and a branch-free body made the PF and SHARD16 query rows of a
+// PF_NATIVE=OFF `bench_all --quick` 12-20% slower (geomean over
+// workloads), gaining only on mixed-50-50.
 //
 // Insert: the new element's header bit goes in with one bit insert at the
 // end of its list, and its remainder at the matching body index; one
@@ -68,7 +67,7 @@ namespace prefixfilter {
 enum class PdQueryPath : uint8_t {
   kEmptyMask = 0,        // v_r == 0: answered with no header work
   kSingleCandidate = 1,  // one body match: answered with one POPCOUNT
-  kSelectFallback = 2,   // multiple body matches: Select-based range check
+  kSelectFallback = 2,   // multiple body matches: list q's range check
 };
 
 class alignas(32) PD256 {
@@ -89,26 +88,41 @@ class alignas(32) PD256 {
   bool Find(int q, uint8_t r) const {
 #if PF_HAVE_BMI2
     const uint32_t v = FindByteMask32(bytes_, r) >> kBodyOffset;
-    // The first 25 header zeros lie in bits [0, 25 + t), so the metadata
-    // and body bits above the header need no mask for q < kNumLists.
+    // Body slot i of list q sits at header bit q + i.  The first 25 header
+    // zeros lie in bits [0, 25 + t), so the metadata and body bits above
+    // the header need no mask for q < kNumLists.
     uint64_t word;
     std::memcpy(&word, bytes_, 8);
-    const uint64_t terminators = ~word;
-    // List q's body range is [begin, end): list q ends at its terminator
-    // and starts after list q - 1's; the injected low bit makes list 0
-    // start at 0 with no q == 0 case.
-    const int begin = Select64((terminators << 1) | 1, q) - q;
-    const int end = Select64(terminators, q) - q;
-    return (LowBits64(v, end) >> begin) != 0;
+    return ((uint64_t{v} << q) & RunMask64(word, q)) != 0;
 #else
-    return FindImpl<false>(q, r, nullptr);
+    return FindBranching(q, r);
 #endif
   }
 
-  // Like Find, but branches on v_r as the paper does (Claims 3 and 4) and
-  // reports which path produced the answer.
+  // The paper's query: branches on v_r (no match, one match, several).
+  // Find on builds without BMI2, and Find's reference in tests.
+  bool FindBranching(int q, uint8_t r) const {
+    const uint32_t v = FindByteMask32(bytes_, r) >> kBodyOffset;
+    if (v == 0) return false;
+    const uint64_t header = Header();
+    const uint64_t w = static_cast<uint64_t>(v) << q;
+    if (AtMostOneBitSet64(v)) {
+      // Single candidate at body index i: it belongs to list q iff header
+      // bit (q + i) is an element bit preceded by exactly i element bits.
+      return (header & w) != 0 &&
+             PopCount64(header & (w - 1)) == CountTrailingZeros64(v);
+    }
+    return (w & RunMask64(header, q)) != 0;
+  }
+
+  // FindBranching's answer, and which of its paths produced it (for
+  // validating Claims 3 and 4).
   bool FindWithPath(int q, uint8_t r, PdQueryPath* path) const {
-    return FindImpl<true>(q, r, path);
+    const uint32_t v = FindByteMask32(bytes_, r) >> kBodyOffset;
+    *path = v == 0                 ? PdQueryPath::kEmptyMask
+            : AtMostOneBitSet64(v) ? PdQueryPath::kSingleCandidate
+                                   : PdQueryPath::kSelectFallback;
+    return FindBranching(q, r);
   }
 
   // Inserts (q, r).  Returns false (and leaves the PD unchanged) if full.
@@ -173,13 +187,7 @@ class alignas(32) PD256 {
 
   // --- Introspection (tests, invariant checks) -----------------------------
 
-  int OccupancyOf(int q) const {
-    const uint64_t header = Header();
-    const uint64_t terminators = ~header;
-    const int z_q = Select64(terminators, q);
-    const int begin_pos = (q == 0) ? 0 : Select64(terminators, q - 1) + 1;
-    return z_q - begin_pos;
-  }
+  int OccupancyOf(int q) const { return PopCount64(RunMask64(Header(), q)); }
 
   // All stored elements as (quotient, remainder), grouped by quotient in
   // body order.
@@ -242,9 +250,7 @@ class alignas(32) PD256 {
     const int q_max = last_pos - (kCapacity - 1);
     // The last list's elements are the trailing run of 1-bits; its body
     // range is [begin, kCapacity).
-    const uint64_t terminators = ~header;
-    const int begin =
-        (q_max == 0) ? 0 : Select64(terminators, q_max - 1) + 1 - q_max;
+    const int begin = CountTrailingZeros64(RunMask64(header, q_max)) - q_max;
     uint8_t* body = bytes_ + kBodyOffset;
     int max_index = begin;
     for (int i = begin + 1; i < kCapacity; ++i) {
@@ -252,30 +258,6 @@ class alignas(32) PD256 {
     }
     std::swap(body[max_index], body[kCapacity - 1]);
     SetMaxQuotient(q_max);
-  }
-
-  template <bool kTrackPath>
-  bool FindImpl(int q, uint8_t r, PdQueryPath* path) const {
-    const uint32_t v = FindByteMask32(bytes_, r) >> kBodyOffset;
-    if (v == 0) {
-      if constexpr (kTrackPath) *path = PdQueryPath::kEmptyMask;
-      return false;
-    }
-    const uint64_t header = Header();
-    if ((v & (v - 1)) == 0) {
-      if constexpr (kTrackPath) *path = PdQueryPath::kSingleCandidate;
-      // Single candidate at body index i: it belongs to list q iff header
-      // bit (q + i) is an element bit preceded by exactly i element bits.
-      const int i = CountTrailingZeros64(v);
-      const uint64_t w = static_cast<uint64_t>(v) << q;
-      return (header & w) != 0 && PopCount64(header & (w - 1)) == i;
-    }
-    if constexpr (kTrackPath) *path = PdQueryPath::kSelectFallback;
-    const uint64_t terminators = ~header;
-    const int begin =
-        (q == 0) ? 0 : Select64(terminators, q - 1) + 1 - q;
-    const int end = Select64(terminators, q) - q;
-    return (v & static_cast<uint32_t>(MaskRange64(begin, end))) != 0;
   }
 
   uint8_t bytes_[32];

@@ -4,6 +4,9 @@
 // (PD256) or two (PD512) machine words.  Every operation below is a small,
 // branch-light building block for decoding that encoding: rank, select,
 // inserting/removing a bit at an arbitrary position, and range masks.
+// A query needs only where list q's element bits lie, which RunMask64 reads
+// with one PDEP.  An insert also needs list q's terminator when the list is
+// empty, so it takes the position from Select64 (Select128 for PD512).
 #ifndef PREFIXFILTER_SRC_UTIL_BITS_H_
 #define PREFIXFILTER_SRC_UTIL_BITS_H_
 
@@ -33,22 +36,8 @@ inline uint64_t MaskLow64(int n) {
   return n >= 64 ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
 }
 
-// A mask with bits [lo, hi) set. Requires 0 <= lo <= hi <= 64.
-inline uint64_t MaskRange64(int lo, int hi) {
-  return MaskLow64(hi) & ~MaskLow64(lo);
-}
-
 // Rank(x, i): number of set bits of `x` in positions [0, i).
 inline int Rank64(uint64_t x, int i) { return PopCount64(x & MaskLow64(i)); }
-
-// `x` with bits [n, 64) cleared (BZHI).  Requires 0 <= n <= 64.
-inline uint64_t LowBits64(uint64_t x, int n) {
-#if PF_HAVE_BMI2
-  return _bzhi_u64(x, static_cast<unsigned>(n));
-#else
-  return x & MaskLow64(n);
-#endif
-}
 
 namespace bits_internal {
 inline constexpr uint64_t kOnesStep8 = 0x0101010101010101;
@@ -103,6 +92,33 @@ inline int Select64(uint64_t x, int j) {
   return static_cast<int>(_tzcnt_u64(_pdep_u64(uint64_t{1} << j, x)));
 #else
   return Select64Portable(x, j);
+#endif
+}
+
+// RunMask64 from two broadword selects, compiled on every build so tests
+// check it on any host: the run starts at set bit j of (~w << 1) | 1, one
+// past zero j - 1 (the injected low bit starts run 0 at bit 0), and ends at
+// zero j.
+inline uint64_t RunMask64Portable(uint64_t w, int j) {
+  const int begin = Select64Portable((~w << 1) | 1, j);
+  const int end = Select64Portable(~w, j);
+  return (uint64_t{1} << end) - (uint64_t{1} << begin);
+}
+
+// RunMask64(w, j): the ones of `w` between its (j-1)-th and j-th zeros
+// (0-based; for j == 0, those below its first zero).  In a PD header, where
+// ones are elements and zeros end lists, that is list j's element bits.
+// Requires at least j + 1 zeros of `w` below bit 63.  With BMI2, one PDEP
+// puts 3 << j on set bits j and j + 1 of (~w << 1) | 1: the run's start and
+// one past its end.  With `lo` the lower, ((bounds ^ lo) >> 1) - lo is the
+// run.
+inline uint64_t RunMask64(uint64_t w, int j) {
+#if PF_HAVE_BMI2
+  const uint64_t bounds = _pdep_u64(uint64_t{3} << j, (~w << 1) | 1);
+  const uint64_t lo = bounds & (0 - bounds);
+  return ((bounds ^ lo) >> 1) - lo;
+#else
+  return RunMask64Portable(w, j);
 #endif
 }
 
@@ -162,22 +178,6 @@ inline int Select128(Bits128 x, int j) {
   if (j < c) return Select64(x.lo, j);
   const int s = Select64(x.hi, j - c);
   return s == 64 ? 128 : 64 + s;
-}
-
-// Select128 without a branch on the word: the j-th set bit's word, its rank
-// within it and the word's base are picked with an all-ones-or-zero mask
-// (GCC turns a ternary pick into a jump here).  Requires the bit to exist,
-// j < PopCount128(x), at rank < 64 in its word, which holds whenever
-// j < 64 + PopCount64(x.lo).  PD512::Find uses it, where a mixed stream makes
-// the word unpredictable.  PD512::Insert keeps the branching Select128: with
-// this body BM_PdInsert<PD512> ran 7-13% slower (medians of 10 and 12
-// alternating bench_micro_pd pairs, 1/10 and 1/12 won; Xeon, GCC 12).
-inline int Select128Branchless(Bits128 x, int j) {
-  const int lo_count = PopCount64(x.lo);
-  const int in_hi = -static_cast<int>(j >= lo_count);  // 0 or all ones
-  const uint64_t hi_mask = static_cast<uint64_t>(static_cast<int64_t>(in_hi));
-  const uint64_t word = x.lo ^ ((x.lo ^ x.hi) & hi_mask);
-  return (64 & in_hi) + Select64(word, j - (lo_count & in_hi));
 }
 
 // Inserts a 0-bit at `pos`, shifting everything above up by one; bit 127 is

@@ -1,6 +1,5 @@
 #include "src/util/bits.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -27,13 +26,6 @@ TEST(Bits, MaskLow) {
   EXPECT_EQ(MaskLow64(1), 1u);
   EXPECT_EQ(MaskLow64(50), (uint64_t{1} << 50) - 1);
   EXPECT_EQ(MaskLow64(64), ~uint64_t{0});
-}
-
-TEST(Bits, MaskRange) {
-  EXPECT_EQ(MaskRange64(0, 0), 0u);
-  EXPECT_EQ(MaskRange64(0, 3), 0b111u);
-  EXPECT_EQ(MaskRange64(2, 5), 0b11100u);
-  EXPECT_EQ(MaskRange64(60, 64), uint64_t{0xf} << 60);
 }
 
 TEST(Bits, Rank) {
@@ -84,14 +76,6 @@ TEST(Bits, SelectPortableAgainstNaive) {
     ASSERT_EQ(Select64Portable(~uint64_t{0}, j), j);
     ASSERT_EQ(Select64Portable(0, j), 64);
   }
-}
-
-TEST(Bits, LowBits) {
-  const uint64_t x = 0xf0f0f0f0f0f0f0f0;
-  EXPECT_EQ(LowBits64(x, 0), 0u);
-  EXPECT_EQ(LowBits64(x, 5), 0x10u);
-  EXPECT_EQ(LowBits64(x, 32), 0xf0f0f0f0u);
-  EXPECT_EQ(LowBits64(x, 64), x);
 }
 
 TEST(Bits, SelectOutOfRange) {
@@ -157,6 +141,32 @@ TEST(Bits, HighestSetBit) {
   EXPECT_EQ(HighestSetBit64(~uint64_t{0}), 63);
 }
 
+// RunMask64 (PDEP on BMI2 builds) and RunMask64Portable against a bit loop
+// that collects the ones since the last zero, for every j whose zero lies
+// below bit 63 (the precondition), on words of every popcount 0..64.
+TEST(Bits, RunMask64AgainstBitLoop) {
+  Xoshiro256 rng(5);
+  for (int trial = 0; trial < 65 * 40; ++trial) {
+    const int ones = trial % 65;
+    uint64_t w = 0;
+    while (PopCount64(w) < ones) w |= uint64_t{1} << rng.Below(64);
+    uint64_t run = 0;
+    int j = 0;
+    for (int pos = 0; pos < 63; ++pos) {
+      if ((w >> pos) & 1) {
+        run |= uint64_t{1} << pos;
+        continue;
+      }
+      ASSERT_EQ(RunMask64(w, j), run)
+          << std::hex << w << std::dec << " j " << j;
+      ASSERT_EQ(RunMask64Portable(w, j), run)
+          << std::hex << w << std::dec << " j " << j;
+      run = 0;
+      ++j;
+    }
+  }
+}
+
 // --- 128-bit helpers -------------------------------------------------------
 
 TEST(Bits128, RankSelectConsistent) {
@@ -171,30 +181,6 @@ TEST(Bits128, RankSelectConsistent) {
       EXPECT_TRUE(GetBit128(x, pos));
     }
     EXPECT_EQ(Select128(x, ones), 128);
-  }
-}
-
-// PD512::Find's select: equal to Select128 wherever its precondition holds
-// (the bit exists at rank < 64 in its word), including j == PopCount64(lo),
-// the first bit of the high word.
-TEST(Bits128, SelectBranchlessMatchesSelect) {
-  Xoshiro256 rng(5);
-  for (int trial = 0; trial < 2000; ++trial) {
-    // Sparse, dense and mixed words, so the low word's count spans 0..64.
-    const uint64_t density = rng.Below(4);
-    const auto word = [&] {
-      uint64_t w = rng.Next();
-      if (density == 0) w &= rng.Next() & rng.Next();
-      if (density == 1) w |= rng.Next() | rng.Next();
-      return w;
-    };
-    const Bits128 x{word(), word()};
-    const int ones = PopCount128(x);
-    const int limit = std::min(ones, 64 + PopCount64(x.lo));
-    for (int j = 0; j < limit; ++j) {
-      ASSERT_EQ(Select128Branchless(x, j), Select128(x, j))
-          << std::hex << x.lo << " " << x.hi << std::dec << " j " << j;
-    }
   }
 }
 

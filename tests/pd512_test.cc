@@ -118,12 +118,12 @@ TEST(PD512, DecodeGroupsByQuotient) {
   EXPECT_EQ(got, model);
 }
 
-// Every (q, r) on PDs built to hit the edges of the branch-free Find: list 0
+// Every (q, r) on PDs built to hit the edges of the list-range read: list 0
 // (the injected low bit), list 79, a list whose elements straddle header
-// bits 63 and 64 (the select whose rank equals the low word's popcount, so
-// its word pick decides the answer), a full PD, and random fills.  Find (the
-// branch-free body on BMI2 builds) and the branching body must both agree
-// with the PD's Decode().
+// bits 63 and 64, a full PD, random fills, and random fills clustered at
+// either end of the header, where the 64-bit window from bit q and the
+// count of ones below q meet their extremes.  Find (the branch-free body on
+// BMI2 builds) and the branching body must both agree with Decode().
 TEST(PD512, FindExhaustiveOnStructuredPds) {
   const uint8_t kAlphabet[] = {0, 1, 7, 128, 255};
   const auto r_at = [&](int i) { return kAlphabet[i % 5]; };
@@ -165,6 +165,21 @@ TEST(PD512, FindExhaustiveOnStructuredPds) {
     std::ostringstream name;
     name << "random fill " << fill;
     cases.emplace_back(name.str(), pd);
+  }
+  // Random lists clustered at q 0-3 or 76-79, at every fill: the low
+  // cluster puts list q's start and end near header bit 0 and lets lists
+  // 4-79 start after up to 48 elements; the high cluster makes the lists
+  // read from the top of the header, with every list below them empty.
+  for (const int base : {0, 76}) {
+    for (int fill = 1; fill <= PD512::kCapacity; ++fill) {
+      PD512 pd = MakeEmptyPd();
+      for (int i = 0; i < fill; ++i) {
+        pd.Insert(base + static_cast<int>(rng.Below(4)), r_at(i));
+      }
+      std::ostringstream name;
+      name << "fill " << fill << " in lists " << base << "-" << base + 3;
+      cases.emplace_back(name.str(), pd);
+    }
   }
   for (const auto& [name, pd] : cases) {
     std::set<std::pair<int, int>> present;
